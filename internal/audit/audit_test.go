@@ -3,14 +3,18 @@ package audit
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"osdp/internal/journal/journaltest"
 )
 
 func event(analyst string, eps float64, outcome string) Event {
@@ -472,4 +476,117 @@ func auditCrashHelper(dir string) {
 		}(w)
 	}
 	select {} // appenders run until the parent kills the process
+}
+
+// TestSyncDuringCloseReportsCommitFailure: a Sync issued while Close is
+// draining the last batch must wait for that batch's verdict and report
+// its failure — not acknowledge an event that never became durable.
+func TestSyncDuringCloseReportsCommitFailure(t *testing.T) {
+	inSync, release := make(chan struct{}), make(chan struct{})
+	fs := &journaltest.FS{Hook: func(op journaltest.Op) error {
+		if op.Kind != "sync" {
+			return nil
+		}
+		close(inSync)
+		<-release
+		return errors.New("injected fsync failure")
+	}}
+	l, err := Open(Config{Dir: t.TempDir(), fs: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Append(event("alice", 0.5, OutcomeReleased))
+	<-inSync // the committer is parked inside the batch's fsync
+
+	closeErr := make(chan error, 1)
+	go func() { closeErr <- l.Close() }()
+	for closed := false; !closed; {
+		l.mu.Lock()
+		closed = l.closed
+		l.mu.Unlock()
+		runtime.Gosched()
+	}
+	syncErr := make(chan error, 1)
+	go func() { syncErr <- l.Sync() }()
+	close(release)
+	if err := <-syncErr; err == nil {
+		t.Fatal("Sync acknowledged an event whose fsync failed")
+	}
+	if err := <-closeErr; err == nil {
+		t.Fatal("Close hid the failed final commit")
+	}
+}
+
+// TestAuditCrashAtEveryWritePoint is the audit half of the ledger's
+// crash scheme: the trail appends and syncs one event at a time, and
+// for every file operation k it either fails operation k or crashes just
+// before it (keeping only synced bytes under durable names). Every event
+// whose Sync returned nil must replay, in order, with at most the one
+// in-flight event after it.
+func TestAuditCrashAtEveryWritePoint(t *testing.T) {
+	const events = 6
+	injected := errors.New("injected")
+	run := func(k int, crash bool) (acked int, fs *journaltest.FS, dir, image string) {
+		dir, image = t.TempDir(), t.TempDir()
+		fs = &journaltest.FS{Hook: func(op journaltest.Op) error {
+			if op.N == k && crash {
+				if err := fs.Crash(image); err != nil {
+					t.Errorf("writing crash image: %v", err)
+				}
+			}
+			if op.N == k || (crash && op.N > k) {
+				return injected
+			}
+			return nil
+		}}
+		l, err := Open(Config{Dir: dir, fs: fs})
+		if err != nil {
+			return 0, fs, dir, image
+		}
+		for i := 0; i < events; i++ {
+			l.Append(event(fmt.Sprintf("a-%d", i), 0.001, OutcomeReleased))
+			if l.Sync() == nil {
+				acked++
+			}
+		}
+		l.Close()
+		return acked, fs, dir, image
+	}
+	check := func(what, dir string, acked int) {
+		t.Helper()
+		n := 0
+		_, _, err := Replay(dir, func(e Event) error {
+			if e.Seq != uint64(n+1) || e.Analyst != fmt.Sprintf("a-%d", n) {
+				return fmt.Errorf("event %d replayed as %+v", n+1, e)
+			}
+			n++
+			return nil
+		})
+		if err != nil {
+			t.Errorf("%s: replay: %v", what, err)
+		} else if n < acked || n > acked+1 {
+			t.Errorf("%s: %d events acknowledged, %d replayed", what, acked, n)
+		}
+		l, err := Open(Config{Dir: dir})
+		if err != nil {
+			t.Errorf("%s: reopen: %v", what, err)
+			return
+		}
+		l.Close()
+	}
+
+	acked, fs, _, _ := run(0, false)
+	if acked != events {
+		t.Fatalf("clean run acknowledged %d of %d events", acked, events)
+	}
+	for k := 1; k <= fs.Ops(); k++ {
+		acked, ffs, dir, image := run(k, false)
+		check(fmt.Sprintf("op %d failed, live dir", k), dir, acked)
+		if err := ffs.Crash(image); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("op %d failed, then crash", k), image, acked)
+		acked, _, _, image = run(k, true)
+		check(fmt.Sprintf("crash before op %d", k), image, acked)
+	}
 }

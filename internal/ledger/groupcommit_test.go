@@ -1,6 +1,7 @@
 package ledger
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"osdp/internal/journal/journaltest"
 	"osdp/internal/telemetry"
 )
 
@@ -148,16 +150,24 @@ func (w *writerBuf) lines() []string {
 	return out
 }
 
-// TestBatchFailureUndoesSpend sabotages the WAL file handle under
-// concurrent chargers and asserts the failure contract: every waiter in
-// the failed batch gets a non-nil error AND its in-memory spend undone;
-// a refund whose batch fails keeps its in-memory effect (and is not
-// counted in the refunds metric); replay never under-counts what was
-// acknowledged before the sabotage.
+// TestBatchFailureUndoesSpend makes WAL writes fail under concurrent
+// chargers and asserts the failure contract: every waiter in the failed
+// batch (and, the journal being fail-stop, every later one) gets a
+// non-nil error AND its in-memory spend undone; a refund whose batch
+// fails keeps its in-memory effect (and is not counted in the refunds
+// metric); replay never under-counts what was acknowledged before the
+// sabotage.
 func TestBatchFailureUndoesSpend(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	dir := t.TempDir()
-	l, err := Open(Config{Dir: dir, NoSync: true, Telemetry: reg})
+	var sabotaged atomic.Bool
+	fs := &journaltest.FS{Hook: func(op journaltest.Op) error {
+		if sabotaged.Load() && op.Kind == "write" {
+			return errors.New("injected write failure")
+		}
+		return nil
+	}}
+	l, err := Open(Config{Dir: dir, NoSync: true, Telemetry: reg, fs: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,13 +180,9 @@ func TestBatchFailureUndoesSpend(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The committer is idle (the charge above was acknowledged), so the
-	// handle swap below cannot race a write in flight. Closing the file
-	// makes the next batch's write fail, which must fail every charge
-	// that rode it.
-	if err := l.w.f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	// From here on every WAL write fails, which must fail every charge
+	// that rode the batch.
+	sabotaged.Store(true)
 
 	var wg sync.WaitGroup
 	var failed atomic.Uint64
@@ -231,19 +237,29 @@ func TestBatchFailureUndoesSpend(t *testing.T) {
 	}
 }
 
-// TestBatchWindowCoalesces opens a window so concurrent charges land in
-// shared batches, then reads the batching evidence back out of the
+// TestBatchWindowCoalesces holds the first charge batch's fsync until
+// all 16 concurrent chargers have queued, so the rest must land in a
+// shared batch, then reads the batching evidence back out of the
 // telemetry: total records committed must equal the histogram's sum,
 // across strictly fewer batches than records — i.e. group commit
 // actually grouped.
 func TestBatchWindowCoalesces(t *testing.T) {
+	const chargers = 16
 	reg := telemetry.NewRegistry()
-	l, err := Open(Config{
-		Dir:              t.TempDir(),
-		NoSync:           true,
-		FsyncBatchWindow: 5 * time.Millisecond,
-		Telemetry:        reg,
-	})
+	var l *Ledger
+	syncs := 0
+	fs := &journaltest.FS{Hook: func(op journaltest.Op) error {
+		if op.Kind != "sync" {
+			return nil
+		}
+		if syncs++; syncs == 2 { // the first charge batch (1 is CreateAnalyst)
+			for l.j.Seq() < chargers+1 {
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+		return nil
+	}}
+	l, err := Open(Config{Dir: t.TempDir(), Telemetry: reg, fs: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +269,6 @@ func TestBatchWindowCoalesces(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const chargers = 16
 	var wg sync.WaitGroup
 	for i := 0; i < chargers; i++ {
 		wg.Add(1)

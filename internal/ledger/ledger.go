@@ -14,26 +14,24 @@
 // arbitration — is the same calculus sessions use.
 //
 // Durability contract: a charge is acknowledged only after its record is
-// appended to the write-ahead log (and fsync'd unless Config.NoSync),
-// so acknowledged spend survives crash and restart; the in-memory state
-// is a cache over the log, never the other way around. Durable writes
-// are GROUP-COMMITTED: a writer admits its record against the in-memory
-// state under the mutex, parks it on a commit queue, releases the lock,
-// and blocks until a single committer goroutine has written every
-// queued record in one buffered write and fsync'd once — N concurrent
-// charges amortize one fsync instead of paying N, and no caller
-// observes a nil return (or releases noise) before its own record is
-// stable. The failure modes all err toward counting MORE spend, never
-// less: a crash between WAL append and the noisy answer leaves the
-// charge spent with no answer released; a failed batch undoes the
-// in-memory spend of every charge it carried (records of an
+// durable in the write-ahead log, an internal/journal log (fsync'd
+// unless Config.NoSync), so acknowledged spend survives crash and
+// restart; the in-memory state is a cache over the log, never the other
+// way around. A writer admits its record against the in-memory state
+// under the mutex, appends it to the journal (which assigns its seq, so
+// log order is admission order), releases the lock, and waits for the
+// journal's group commit — N concurrent charges share one fsync, and no
+// caller observes a nil return (or releases noise) before its own
+// record is stable. The failure modes all err toward counting MORE
+// spend, never less: a crash between WAL append and the noisy answer
+// leaves the charge spent with no answer released; a failed commit
+// undoes the in-memory spend of every charge it carried (records of an
 // unacknowledged batch that did reach the disk replay as spent — an
-// over-count, never an under-count); a refund whose batch fails keeps
-// the in-memory refund but replays as spent; a refund that can no
-// longer be matched to its charge (e.g. across a snapshot compaction)
-// is dropped and the charge stands. Replay tolerates a torn final WAL
-// line (the record was never acknowledged) and refuses to open on
-// corruption anywhere else.
+// over-count, never an under-count) and makes the journal fail-stop
+// until restart; a refund whose commit fails keeps the in-memory refund
+// but replays as spent; a refund that can no longer be matched to its
+// charge (e.g. across a snapshot compaction) is dropped and the charge
+// stands.
 //
 // With Config.Dir empty the ledger runs in-memory: same semantics,
 // nothing survives Close. Tests and demos use this mode.
@@ -46,9 +44,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -56,6 +51,7 @@ import (
 
 	"osdp/internal/core"
 	"osdp/internal/dataset"
+	"osdp/internal/journal"
 	"osdp/internal/telemetry"
 )
 
@@ -93,17 +89,13 @@ type Config struct {
 	// use it; with it set, a crash can lose charges the OS had not yet
 	// flushed (it still never resurrects refunded ones).
 	NoSync bool
-	// FsyncBatchWindow stretches group commit: once at least one record
-	// is queued, the committer waits this long for more to arrive before
-	// writing and fsyncing the batch — trading single-caller latency for
-	// fewer, larger fsyncs. 0 (the default) commits as soon as the
-	// committer is free; concurrency alone then sets the batch size.
-	FsyncBatchWindow time.Duration
 	// Telemetry, when non-nil, registers the ledger's metric series
 	// (charge/refund/replay/compaction counters, WAL append and fsync
 	// latency histograms) on the given registry. Nil disables
 	// collection at zero cost.
 	Telemetry *telemetry.Registry
+
+	fs journal.FS // file-system seam for fault-injection tests; nil = the OS
 }
 
 // AnalystInfo is the public description of a principal. The API key is
@@ -141,44 +133,22 @@ type analystState struct {
 	keyHash string
 }
 
-// commitWaiter is one WAL record parked on the group-commit queue plus
-// the channel its caller blocks on until the batch carrying it is
-// durable. The channel is buffered so the committer never blocks waking
-// a waiter.
-type commitWaiter struct {
-	rec      record
-	enqueued time.Time
-	done     chan error
-}
-
-// Ledger is the control plane. One mutex guards the in-memory state AND
-// the sequence-number assignment of queued WAL records, so the durable
+// Ledger is the control plane. One mutex guards the in-memory state, and
+// writers append their journal record while holding it, so the durable
 // log order always matches the order charges were admitted — the
-// property replay correctness rests on. The WAL write itself happens
-// OUTSIDE the mutex, on the single committer goroutine: writers enqueue
-// under the lock and block on their batch afterwards, so reads
-// (Authenticate on every request) no longer queue behind a charge's
-// fsync, and concurrent charges share one.
+// property replay correctness rests on. The durable write happens
+// OUTSIDE the mutex, on the journal's committer: reads (Authenticate on
+// every request) never queue behind a charge's fsync, and concurrent
+// charges share one.
 type Ledger struct {
 	cfg Config
+	j   *journal.Journal[record]
 
 	mu       sync.Mutex
 	analysts map[string]*analystState
 	byKey    map[string]string // sha256 hex of API key -> analyst id
 	accounts map[acctKey]*account
-	w        *wal // nil in memory mode
-	seq      uint64
-	appends  int // committed since the last snapshot
 	closed   bool
-	pending  []*commitWaiter // group-commit queue, drained by the committer
-
-	// Committer lifecycle (nil / unused in memory mode). commitNotify is
-	// buffered: an enqueue nudges the committer without blocking, and a
-	// pending nudge coalesces with later ones.
-	commitNotify  chan struct{}
-	stop          chan struct{}
-	committerDone chan struct{}
-	closeErr      error // WAL close result, read after committerDone
 
 	met ledgerMetrics
 }
@@ -198,351 +168,54 @@ func Open(cfg Config) (*Ledger, error) {
 		// Built before replay so replayed-record counts are observed.
 		met: newLedgerMetrics(cfg.Telemetry),
 	}
-	if cfg.Dir == "" {
-		return l, nil
-	}
-
-	snap, err := loadSnapshot(cfg.Dir)
+	j, err := journal.Open(journal.Config[record]{
+		Dir:           cfg.Dir,
+		Log:           walFile,
+		NoSync:        cfg.NoSync,
+		Seq:           recordSeq,
+		Apply:         l.applyReplayed,
+		Snapshot:      snapshotFile,
+		SnapshotEvery: cfg.SnapshotEvery,
+		Restore:       l.restore,
+		Compact:       l.compact,
+		FS:            cfg.fs,
+		Metrics:       l.met.journal,
+	})
 	if err != nil {
 		return nil, err
 	}
-	l.seq = snap.Seq
-	for _, a := range snap.Analysts {
-		st := &analystState{
-			info: AnalystInfo{
-				ID: a.ID, Name: a.Name, Created: a.Created,
-				Disabled: a.Disabled, SessionCap: a.SessionCap,
-			},
-			keyHash: a.KeyHash,
-		}
-		l.analysts[a.ID] = st
-		l.byKey[a.KeyHash] = a.ID
-	}
-	for _, s := range snap.Accounts {
-		// Only explicit grants replay their snapshotted budget; default
-		// accounts re-resolve against the CURRENT config default, so an
-		// operator tightening DefaultBudget reaches them on restart.
-		budget := s.Budget
-		if !s.Explicit {
-			budget = cfg.DefaultBudget
-		}
-		acc := &account{
-			budget:   budget,
-			explicit: s.Explicit,
-			acct:     core.NewAccountant(budget),
-			charges:  s.Charges,
-		}
-		// Deterministic order keeps replay reproducible.
-		names := make([]string, 0, len(s.Spent))
-		for name := range s.Spent {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			if err := acc.acct.RestoreSpend(replayedGuarantee(name, s.Spent[name])); err != nil {
-				return nil, fmt.Errorf("ledger: snapshot account %s/%s: %w", s.Analyst, s.Dataset, err)
-			}
-		}
-		l.accounts[acctKey{s.Analyst, s.Dataset}] = acc
-	}
-	truncateTo, err := replayWAL(cfg.Dir, snap.Seq, l.applyReplayed)
-	if err != nil {
-		return nil, err
-	}
-	if truncateTo >= 0 {
-		// Cut the torn fragment off BEFORE appending: a new record
-		// written after it would merge into one corrupt line and read as
-		// a droppable torn tail on the next restart — losing spend that
-		// WAS acknowledged.
-		if err := os.Truncate(filepath.Join(cfg.Dir, walFile), truncateTo); err != nil {
-			return nil, fmt.Errorf("ledger: truncating torn WAL tail: %w", err)
-		}
-	}
-	if l.w, err = openWAL(cfg.Dir, !cfg.NoSync); err != nil {
-		return nil, err
-	}
-	l.w.met = l.met
-	l.commitNotify = make(chan struct{}, 1)
-	l.stop = make(chan struct{})
-	l.committerDone = make(chan struct{})
-	go l.runCommitter()
+	l.j = j
 	return l, nil
 }
 
-// replayedGuarantee rebuilds a Guarantee from its durable form. Only the
-// policy NAME round-trips through the log — predicates do not serialise
-// — so replayed charges carry a name-preserving, all-sensitive
-// placeholder predicate. That is the conservative direction for
-// MinimumRelaxation composition: a placeholder never relaxes the other
-// policies in the composite, and the ε arithmetic (what the budget
-// check uses) is exact either way.
-func replayedGuarantee(policyName string, eps float64) core.Guarantee {
-	return core.Guarantee{Policy: dataset.NewPolicy(policyName, dataset.True()), Epsilon: eps}
-}
-
-// applyReplayed folds one WAL record into the in-memory state during
-// Open. Charges use RestoreSpend, not Spend: a logged charge was
-// acknowledged in a previous life and must be honoured even if the
-// budget was lowered afterwards.
-func (l *Ledger) applyReplayed(rec record) error {
-	l.met.replayed.Inc()
-	if rec.Seq > l.seq {
-		l.seq = rec.Seq
-	}
-	switch rec.Kind {
-	case "analyst":
-		st := &analystState{
-			info: AnalystInfo{
-				ID: rec.ID, Name: rec.Name, Created: rec.Created,
-				SessionCap: rec.SessionCap,
-			},
-			keyHash: rec.KeyHash,
-		}
-		l.analysts[rec.ID] = st
-		l.byKey[rec.KeyHash] = rec.ID
-	case "disable":
-		if st, ok := l.analysts[rec.ID]; ok {
-			st.info.Disabled = rec.Disabled
-		}
-	case "budget":
-		l.setBudgetLocked(rec.Analyst, rec.Dataset, rec.Budget)
-	case "charge":
-		acc := l.accountLocked(rec.Analyst, rec.Dataset)
-		if err := acc.acct.RestoreSpend(replayedGuarantee(rec.Policy, rec.Eps)); err != nil {
-			return fmt.Errorf("ledger: replaying charge seq %d: %w", rec.Seq, err)
-		}
-		acc.charges++
-	case "refund":
-		acc := l.accountLocked(rec.Analyst, rec.Dataset)
-		// A refund that no longer matches is dropped: the charge stands,
-		// which over-counts spend — the safe direction.
-		_ = acc.acct.Refund(replayedGuarantee(rec.Policy, rec.Eps))
-	default:
-		return fmt.Errorf("ledger: unknown WAL record kind %q (seq %d)", rec.Kind, rec.Seq)
-	}
-	return nil
-}
-
-// Close drains the commit queue (admitted writers still get a real
-// durability verdict), stops the committer, and closes the WAL. Further
-// operations fail with ErrClosed.
+// Close commits what was admitted before it (those writers still get a
+// real durability verdict) and closes the WAL. Further operations fail
+// with ErrClosed.
 func (l *Ledger) Close() error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return nil
 	}
-	l.closed = true // no new records can enqueue past this point
+	l.closed = true // no new records can be appended past this point
 	l.mu.Unlock()
-	if l.w == nil {
-		return nil
-	}
-	close(l.stop)
-	<-l.committerDone
-	return l.closeErr
+	return l.j.Close()
 }
 
 // Durable reports whether the ledger persists to disk.
 func (l *Ledger) Durable() bool { return l.cfg.Dir != "" }
 
-// enqueueLocked assigns the next sequence number and, on a durable
-// ledger, parks the record on the group-commit queue, returning the
-// waiter the caller must await AFTER releasing l.mu. In-memory ledgers
-// return nil (sequence numbers are still consumed). Callers hold l.mu
-// and must have applied the record's in-memory effect already: the
-// committer may fold any enqueued record into a snapshot, and a
-// snapshot at sequence S must contain the effect of every record at or
-// below S.
-func (l *Ledger) enqueueLocked(rec record) *commitWaiter {
-	l.seq++
-	rec.Seq = l.seq
-	if l.w == nil {
+// await blocks until the record at seq is durable and returns the commit
+// verdict (immediately nil in memory mode). Callers must NOT hold l.mu:
+// the journal's snapshot hook takes it.
+func (l *Ledger) await(seq uint64) error {
+	if !l.Durable() {
 		return nil
 	}
-	wtr := &commitWaiter{rec: rec, enqueued: time.Now(), done: make(chan error, 1)}
-	l.pending = append(l.pending, wtr)
-	select {
-	case l.commitNotify <- struct{}{}:
-	default: // committer already nudged
-	}
-	return wtr
-}
-
-// await blocks until wtr's batch is durable and returns the batch
-// verdict (nil waiter = in-memory ledger, immediately fine). Callers
-// must NOT hold l.mu — the committer needs it to drain the queue.
-func (l *Ledger) await(wtr *commitWaiter) error {
-	if wtr == nil {
-		return nil
-	}
-	err := <-wtr.done
-	l.met.commitWait.ObserveDuration(time.Since(wtr.enqueued))
+	start := time.Now()
+	err := l.j.Wait(seq)
+	l.met.commitWait.ObserveDuration(time.Since(start))
 	return err
-}
-
-// runCommitter is the single WAL writer: nudged by enqueueLocked, it
-// drains the queue, writes each drained batch in one buffered write,
-// fsyncs once, and wakes every waiter — so N concurrent charges
-// amortize one fsync. On Close it drains what was admitted before the
-// closed flag flipped, then closes the WAL.
-func (l *Ledger) runCommitter() {
-	defer close(l.committerDone)
-	for {
-		select {
-		case <-l.commitNotify:
-			l.commitPending()
-		case <-l.stop:
-			l.commitPending()
-			l.closeErr = l.w.close()
-			return
-		}
-	}
-}
-
-// commitPending drains and commits batches until the queue is empty.
-func (l *Ledger) commitPending() {
-	for {
-		l.mu.Lock()
-		n := len(l.pending)
-		l.mu.Unlock()
-		if n == 0 {
-			return
-		}
-		if l.cfg.FsyncBatchWindow > 0 {
-			// Something is queued; linger so stragglers join this batch
-			// instead of paying their own fsync.
-			time.Sleep(l.cfg.FsyncBatchWindow)
-		} else {
-			// One scheduler yield before sealing the batch: writers the
-			// last commit just woke get to finish their next enqueue, so
-			// a saturated core produces full batches instead of
-			// alternating 1-record and (N-1)-record ones. When nothing
-			// else is runnable this costs well under a microsecond.
-			runtime.Gosched()
-		}
-		l.mu.Lock()
-		batch := l.pending
-		l.pending = nil
-		l.mu.Unlock()
-		l.commitBatch(batch)
-	}
-}
-
-// commitBatch writes one batch, wakes its waiters with the shared
-// verdict, and runs snapshot compaction on schedule. Rollback of a
-// failed batch is the WAITERS' job (each undoes its own in-memory
-// effect with the lock held), because only they know what they applied.
-func (l *Ledger) commitBatch(batch []*commitWaiter) {
-	recs := make([]record, len(batch))
-	for i, wtr := range batch {
-		recs[i] = wtr.rec
-	}
-	err := l.w.appendBatch(recs)
-	if err == nil {
-		l.met.batchRecords.Observe(float64(len(batch)))
-	}
-	for _, wtr := range batch {
-		wtr.done <- err
-	}
-	if err != nil {
-		return
-	}
-	l.mu.Lock()
-	l.appends += len(batch)
-	due := l.appends >= l.cfg.SnapshotEvery
-	var snap snapshot
-	if due {
-		// Compaction failure is not fatal to the batch that triggered
-		// it: the WAL already holds its records. Keep serving; the next
-		// batch retries. Records still queued at snapshot time are
-		// covered too — their seq is at or below the snapshot's and
-		// their in-memory effect was applied before they enqueued, so
-		// replay skipping them is exact (if their batch later fails,
-		// the snapshot over-counts an unacknowledged record — the safe
-		// direction, never an under-count).
-		snap = l.buildSnapshotLocked()
-	}
-	l.mu.Unlock()
-	if !due {
-		return
-	}
-	// The snapshot write happens OUTSIDE l.mu: holding the mutex across
-	// file I/O would re-serialise every concurrent charge behind the
-	// disk, undoing group commit (this is the invariant fsyncunderlock
-	// enforces). Only this committer goroutine touches the WAL handle,
-	// so releasing the lock is safe; charges admitted while the file is
-	// being written carry seq above snap.Seq and replay on recovery.
-	if err := l.w.writeSnapshot(snap); err != nil {
-		return // WAL still holds everything; the next batch retries.
-	}
-	l.mu.Lock()
-	if err := l.compactLocked(); err == nil {
-		l.appends = 0
-		l.met.compactions.Inc()
-	}
-	l.mu.Unlock()
-}
-
-// buildSnapshotLocked assembles the compacted durable state under l.mu;
-// the caller writes it to disk after releasing the lock.
-func (l *Ledger) buildSnapshotLocked() snapshot {
-	snap := snapshot{Seq: l.seq}
-	for id, st := range l.analysts {
-		snap.Analysts = append(snap.Analysts, snapAnalyst{
-			ID: id, Name: st.info.Name, KeyHash: st.keyHash,
-			Created: st.info.Created, Disabled: st.info.Disabled,
-			SessionCap: st.info.SessionCap,
-		})
-	}
-	sort.Slice(snap.Analysts, func(i, j int) bool { return snap.Analysts[i].ID < snap.Analysts[j].ID })
-	for key, acc := range l.accounts {
-		spent := make(map[string]float64)
-		for _, g := range acc.acct.Charges() {
-			spent[g.Policy.Name()] += g.Epsilon
-		}
-		snap.Accounts = append(snap.Accounts, snapAccount{
-			Analyst: key.analyst, Dataset: key.dataset,
-			Budget: acc.budget, Explicit: acc.explicit,
-			Charges: acc.charges, Spent: spent,
-		})
-	}
-	sort.Slice(snap.Accounts, func(i, j int) bool {
-		a, b := snap.Accounts[i], snap.Accounts[j]
-		if a.Analyst != b.Analyst {
-			return a.Analyst < b.Analyst
-		}
-		return a.Dataset < b.Dataset
-	})
-	return snap
-}
-
-// compactLocked rebuilds each in-memory accountant from its per-policy
-// aggregates so charge lists do not grow without bound. It aggregates
-// CURRENT charges, not the snapshot just written: charges admitted
-// while the snapshot write was in flight must survive compaction
-// (their WAL records replay on recovery, so in-memory and durable
-// state stay aligned). A refund for a pre-compaction charge will no
-// longer match and is dropped — documented safe direction.
-func (l *Ledger) compactLocked() error {
-	for key, acc := range l.accounts {
-		spent := make(map[string]float64)
-		for _, g := range acc.acct.Charges() {
-			spent[g.Policy.Name()] += g.Epsilon
-		}
-		fresh := core.NewAccountant(acc.budget)
-		names := make([]string, 0, len(spent))
-		for name := range spent {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			if err := fresh.RestoreSpend(replayedGuarantee(name, spent[name])); err != nil {
-				return fmt.Errorf("ledger: compacting account %s/%s: %w", key.analyst, key.dataset, err)
-			}
-		}
-		acc.acct = fresh
-	}
-	return nil
 }
 
 // CreateAnalyst mints a principal and returns its info plus the
@@ -578,18 +251,17 @@ func (l *Ledger) CreateAnalyst(name string, sessionCap int) (AnalystInfo, string
 		return AnalystInfo{}, "", fmt.Errorf("ledger: analyst id collision, retry")
 	}
 	info := AnalystInfo{ID: id, Name: name, Created: time.Now().UTC(), SessionCap: sessionCap}
-	// Mutate in-memory state BEFORE enqueueing: a snapshot covering this
+	// Mutate in-memory state BEFORE appending: a snapshot covering this
 	// record's seq must already contain it, or the subsequent WAL
 	// truncation would drop the analyst. Same ordering rule as Charge;
 	// every WAL writer follows it.
-	l.analysts[id] = &analystState{info: info, keyHash: hash}
-	l.byKey[hash] = id
-	wtr := l.enqueueLocked(record{
+	l.addAnalystLocked(info, hash)
+	seq := l.j.Append(record{
 		Kind: "analyst", ID: id, Name: name, KeyHash: hash,
 		Created: info.Created, SessionCap: sessionCap,
 	})
 	l.mu.Unlock()
-	if err := l.await(wtr); err != nil {
+	if err := l.await(seq); err != nil {
 		l.mu.Lock()
 		delete(l.analysts, id)
 		delete(l.byKey, hash)
@@ -597,6 +269,12 @@ func (l *Ledger) CreateAnalyst(name string, sessionCap int) (AnalystInfo, string
 		return AnalystInfo{}, "", err
 	}
 	return info, key, nil
+}
+
+// addAnalystLocked registers a principal in the in-memory state.
+func (l *Ledger) addAnalystLocked(info AnalystInfo, keyHash string) {
+	l.analysts[info.ID] = &analystState{info: info, keyHash: keyHash}
+	l.byKey[keyHash] = info.ID
 }
 
 // Authenticate resolves an API key to its analyst. Unknown keys get
@@ -662,9 +340,9 @@ func (l *Ledger) SetDisabled(id string, disabled bool) error {
 	// In-memory first: a snapshot covering this record must carry the
 	// flag (losing a revocation record would re-arm a revoked key).
 	st.info.Disabled = disabled
-	wtr := l.enqueueLocked(record{Kind: "disable", ID: id, Disabled: disabled})
+	seq := l.j.Append(record{Kind: "disable", ID: id, Disabled: disabled})
 	l.mu.Unlock()
-	if err := l.await(wtr); err != nil {
+	if err := l.await(seq); err != nil {
 		l.mu.Lock()
 		st.info.Disabled = !disabled
 		l.mu.Unlock()
@@ -703,9 +381,9 @@ func (l *Ledger) SetBudget(analyst, ds string, budget float64) error {
 		prevBudget, prevExplicit = prev.budget, prev.explicit
 	}
 	l.setBudgetLocked(analyst, ds, budget)
-	wtr := l.enqueueLocked(record{Kind: "budget", Analyst: analyst, Dataset: ds, Budget: budget})
+	seq := l.j.Append(record{Kind: "budget", Analyst: analyst, Dataset: ds, Budget: budget})
 	l.mu.Unlock()
-	if err := l.await(wtr); err != nil {
+	if err := l.await(seq); err != nil {
 		l.mu.Lock()
 		if had {
 			l.setBudgetLocked(analyst, ds, prevBudget)
@@ -784,19 +462,19 @@ func (l *Ledger) Charge(analyst, ds string, g core.Guarantee, trace ...*telemetr
 		l.mu.Unlock()
 		return fmt.Errorf("ledger: account %s/%s: %w", analyst, ds, err)
 	}
-	// Count before enqueueing: a snapshot covering this record must
+	// Count before appending: a snapshot covering this record must
 	// include the charge it describes.
 	acc.charges++
-	wtr := l.enqueueLocked(record{
+	seq := l.j.Append(record{
 		Kind: "charge", Analyst: analyst, Dataset: ds,
 		Eps: g.Epsilon, Policy: g.Policy.Name(),
 	})
 	l.mu.Unlock()
 	var sp telemetry.SpanEnd
-	if wtr != nil && len(trace) > 0 {
+	if l.Durable() && len(trace) > 0 {
 		sp = trace[0].StartSpan("ledger.commit_wait")
 	}
-	err := l.await(wtr)
+	err := l.await(seq)
 	sp.End()
 	if err != nil {
 		// Not durable => not admitted: undo the in-memory spend. (If the
@@ -833,12 +511,12 @@ func (l *Ledger) Refund(analyst, ds string, g core.Guarantee) error {
 		l.mu.Unlock()
 		return err
 	}
-	wtr := l.enqueueLocked(record{
+	seq := l.j.Append(record{
 		Kind: "refund", Analyst: analyst, Dataset: ds,
 		Eps: g.Epsilon, Policy: g.Policy.Name(),
 	})
 	l.mu.Unlock()
-	err := l.await(wtr)
+	err := l.await(seq)
 	if err == nil {
 		// Counted only after durability: a refund whose batch failed must
 		// not inflate the metric (the in-memory refund stands regardless —

@@ -291,10 +291,13 @@ func TestTornTailTolerated(t *testing.T) {
 }
 
 // TestTornTailTruncatedBeforeAppend is the double-crash regression: a
-// torn fragment must be cut off at Open, BEFORE new records are
-// appended. Without the truncation the next acknowledged record merges
-// into the fragment's line, and a second restart drops it as a "torn
-// tail" — losing fsync'd, acknowledged spend.
+// torn tail must be cut off at Open, BEFORE new records are appended.
+// Otherwise the next acknowledged record merges into the fragment's
+// line, and a second restart drops it as a "torn tail" — losing
+// fsync'd, acknowledged spend. The tails tried are every cut inside a
+// real final record, including the cut that removes only its '\n' (the
+// record is committed only once its newline is on disk), plus a foreign
+// fragment after an intact log.
 func TestTornTailTruncatedBeforeAppend(t *testing.T) {
 	cfg := Config{Dir: t.TempDir(), DefaultBudget: 10}
 	l, err := Open(cfg)
@@ -305,51 +308,59 @@ func TestTornTailTruncatedBeforeAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Charge(a.ID, "d", g(0.5)); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if err := l.Charge(a.ID, "d", g(0.5)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-
+	full, err := os.ReadFile(filepath.Join(cfg.Dir, walFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastStart := strings.LastIndex(strings.TrimRight(string(full), "\n"), "\n") + 1
+	var tails [][]byte
+	for cut := lastStart + 1; cut < len(full); cut++ {
+		tails = append(tails, full[:cut])
+	}
 	// Crash artifact: half a record, no trailing newline.
-	path := filepath.Join(cfg.Dir, walFile)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"seq":99,"kind":"char`); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	tails = append(tails, append(append([]byte(nil), full...), `{"seq":99,"kind":"char`...))
 
-	// Restart 1: tolerates the torn tail and acknowledges a NEW charge.
-	l, err = Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := l.TotalSpent(); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("restart 1 replayed %g, want 0.5", got)
-	}
-	if err := l.Charge(a.ID, "d", g(0.5)); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Restart 2: the acknowledged charge must have survived on its own
-	// line — 1.0 total, not 0.5 with the new record swallowed by the
-	// fragment.
-	l, err = Open(cfg)
-	if err != nil {
-		t.Fatalf("restart 2: %v", err)
-	}
-	defer l.Close()
-	if got := l.TotalSpent(); math.Abs(got-1.0) > 1e-12 {
-		t.Fatalf("restart 2 replayed %g, want 1.0 — acknowledged spend was lost", got)
+	for _, body := range tails {
+		cfg := Config{Dir: t.TempDir(), DefaultBudget: 10}
+		if err := os.WriteFile(filepath.Join(cfg.Dir, walFile), body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// Restart 1: tolerates the torn tail, serves what it replayed as
+		// spent, and acknowledges a NEW charge.
+		l, err := Open(cfg)
+		if err != nil {
+			t.Fatalf("%d-byte log: restart 1: %v", len(body), err)
+		}
+		before := l.TotalSpent()
+		if before < 0.5-1e-12 {
+			t.Fatalf("%d-byte log: restart 1 replayed %g, lost the intact 0.5 charge", len(body), before)
+		}
+		if err := l.Charge(a.ID, "d", g(0.5)); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Restart 2: everything restart 1 served plus the acknowledged
+		// charge must survive — the new record on its own line, not
+		// swallowed by the fragment.
+		l, err = Open(cfg)
+		if err != nil {
+			t.Fatalf("%d-byte log: restart 2: %v", len(body), err)
+		}
+		after := l.TotalSpent()
+		l.Close()
+		if math.Abs(after-(before+0.5)) > 1e-12 {
+			t.Fatalf("%d-byte log: restart 2 replayed %g, want %g — acknowledged spend was lost", len(body), after, before+0.5)
+		}
 	}
 }
 

@@ -17,8 +17,8 @@ import (
 // on a const/var group covers its members.
 //
 // Coverage: the columnar data plane, the histogram substrate, the
-// serving layer, and — new with the analyzer migration — the
-// observability and durability planes (telemetry, ledger, audit),
+// serving layer, and the observability and durability planes
+// (telemetry, journal, ledger, audit),
 // whose exported surfaces carry concurrency and durability contracts
 // that MUST be written down.
 var DocComment = &analysis.Analyzer{
@@ -34,6 +34,7 @@ var documentedSurface = []string{
 	"osdp/internal/histogram",
 	"osdp/internal/server",
 	"osdp/internal/telemetry",
+	"osdp/internal/journal",
 	"osdp/internal/ledger",
 	"osdp/internal/audit",
 }

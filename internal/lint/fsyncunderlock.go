@@ -8,11 +8,11 @@ import (
 )
 
 // FsyncUnderLock enforces the group-commit lesson from DESIGN.md
-// "Group commit" (the PR 7 regression class): in the durable planes —
+// "Journal": in the durable planes — internal/journal and its clients
 // internal/ledger and internal/audit — no blocking file I/O may run
-// while the state mutex is held. Writers admit under the lock, park on
-// the commit queue, release, and await the committer; an fsync under
-// the mutex re-serialises every concurrent charge behind the disk.
+// while a mutex is held. Writers admit under the lock, append to the
+// journal, release, and wait for its committer; an fsync under the
+// mutex re-serialises every concurrent charge behind the disk.
 //
 // The check is intra-procedural with an intra-package closure: a
 // function "does I/O" if it calls a file verb (Sync, Write, Truncate,
@@ -26,7 +26,7 @@ import (
 // lock state: goroutine bodies do not inherit the spawner's lock.
 var FsyncUnderLock = &analysis.Analyzer{
 	Name: "fsyncunderlock",
-	Doc:  "no file Write/Sync (or call reaching one) while a mutex is held in internal/ledger and internal/audit",
+	Doc:  "no file Write/Sync (or call reaching one) while a mutex is held in internal/journal, internal/ledger and internal/audit",
 	Run:  runFsyncUnderLock,
 }
 
@@ -38,7 +38,7 @@ var ioVerbs = map[string]bool{
 }
 
 func runFsyncUnderLock(pass *analysis.Pass) error {
-	if !pass.PathIn("osdp/internal/ledger", "osdp/internal/audit") {
+	if !pass.PathIn("osdp/internal/journal", "osdp/internal/ledger", "osdp/internal/audit") {
 		return nil
 	}
 	doesIO := ioClosure(pass.Files)
@@ -286,9 +286,9 @@ func (w *lockWalker) walkExpr(expr ast.Expr, st lockState) lockState {
 			}
 			if st.held() {
 				if verb, io := directIO(call); io {
-					w.pass.Reportf(call.Pos(), "file %s while a mutex is held: move durable I/O outside the lock (group-commit discipline, DESIGN.md \"Group commit\")", verb)
+					w.pass.Reportf(call.Pos(), "file %s while a mutex is held: move durable I/O outside the lock (group-commit discipline, DESIGN.md \"Journal\")", verb)
 				} else if w.doesIO[name] {
-					w.pass.Reportf(call.Pos(), "call to %s (which performs file I/O) while a mutex is held: move durable I/O outside the lock (DESIGN.md \"Group commit\")", name)
+					w.pass.Reportf(call.Pos(), "call to %s (which performs file I/O) while a mutex is held: move durable I/O outside the lock (DESIGN.md \"Journal\")", name)
 				}
 			}
 			return true

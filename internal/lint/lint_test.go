@@ -40,6 +40,7 @@ func TestNilSafeTelemetry(t *testing.T) {
 func TestFsyncUnderLock(t *testing.T) {
 	analysistest.Run(t, fixtures("fsyncunderlock"), lint.FsyncUnderLock,
 		"osdp/internal/ledger",
+		"osdp/internal/journal",
 	)
 }
 
@@ -58,6 +59,7 @@ func TestCtxPropagate(t *testing.T) {
 func TestDocComment(t *testing.T) {
 	analysistest.Run(t, fixtures("doccomment"), lint.DocComment,
 		"osdp/internal/dataset",
+		"osdp/internal/journal",
 	)
 }
 
