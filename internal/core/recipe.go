@@ -59,15 +59,11 @@ func LaplaceZeroDetector(xns *histogram.Histogram, eps float64, src noise.Source
 // zero. This is the subroutine the paper's experiments use (§6.3.3:
 // "we used ρ = 0.1 fraction of the privacy budget to run OsdpRR").
 func RRZeroDetector(xns *histogram.Histogram, eps float64, src noise.Source) []int {
-	keep := noise.KeepProbability(eps)
 	var zeros []int
 	for i := 0; i < xns.Bins(); i++ {
-		n := int(xns.Count(i))
-		survived := false
-		for j := 0; j < n && !survived; j++ {
-			survived = noise.Bernoulli(src, keep)
-		}
-		if !survived {
+		// No unit survives exactly when the first keep gap reaches past
+		// all n of them: Pr = e^(−nε), as for n suppressed coin flips.
+		if n := int(xns.Count(i)); n == 0 || noise.KeepGap(src, eps) >= float64(n) {
 			zeros = append(zeros, i)
 		}
 	}

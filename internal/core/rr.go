@@ -31,18 +31,31 @@ func NewRR(policy dataset.Policy, eps float64) *RR {
 	return &RR{policy: policy, eps: eps}
 }
 
-// Release runs Algorithm 1 on db. Iteration is indexed so no per-record
-// view slice is materialized for large databases.
+// Release runs Algorithm 1 on db: it keeps records of db's non-sensitive
+// partition (the cached db.Split) with rrKeep and returns them as a view
+// sharing db's storage (copy-on-append).
 func (m *RR) Release(db *dataset.Table, src noise.Source) *dataset.Table {
-	keep := noise.KeepProbability(m.eps)
-	out := dataset.NewTable(db.Schema())
-	for i, n := 0, db.Len(); i < n; i++ {
-		r := db.Record(i)
-		if m.policy.NonSensitive(r) && noise.Bernoulli(src, keep) {
-			out.Append(r)
+	_, ns := db.Split(m.policy)
+	return ns.Take(rrKeep(ns.Len(), m.eps, src))
+}
+
+// rrKeep is OsdpRR's keep loop over n non-sensitive records: it returns
+// the strictly increasing positions in [0, n) that are released, each
+// kept independently with probability 1 − e^(−ε). It jumps from keep to
+// keep by waiting times (noise.KeepGap), which have exactly the
+// distribution of the runs of suppressed records between Bernoulli keeps,
+// so it draws one uniform per kept record instead of one per record.
+func rrKeep(n int, eps float64, src noise.Source) []int32 {
+	kept := make([]int32, 0, int(float64(n)*noise.KeepProbability(eps)))
+	for next := 0; next < n; next++ {
+		gap := noise.KeepGap(src, eps)
+		if gap >= float64(n-next) {
+			break
 		}
+		next += int(gap)
+		kept = append(kept, int32(next))
 	}
-	return out
+	return kept
 }
 
 // Guarantee reports (P, ε)-OSDP.

@@ -41,7 +41,7 @@ func endScan(end func(kv ...string), rows int) {
 		"chunks", strconv.Itoa(dataset.ScanChunks(rows)))
 }
 
-// ErrEmptySample is wrapped by Quantile when the Bernoulli sample keeps
+// ErrEmptySample is wrapped by Quantile when the OsdpRR sample keeps
 // zero records. The charge is still consumed (see Quantile); errors.Is
 // lets callers distinguish this retriable outcome from budget exhaustion.
 var ErrEmptySample = errors.New("sample came up empty")
@@ -165,14 +165,15 @@ func (s *Session) Sample(eps float64, trace ...TraceHook) (*dataset.Table, error
 	if err := s.charge(eps); err != nil {
 		return nil, fmt.Errorf("core: sample rejected: %w", err)
 	}
-	// OsdpRR interleaves the scan and the randomized keep decisions, so
-	// the whole release is one "noise" phase.
+	// The keep draws are the whole mechanism execution: the
+	// non-sensitive partition is already cached, so the release is one
+	// "noise" phase.
 	end := beginPhase(trace, "noise")
-	rel := NewRR(s.policy, eps).Release(s.db, s.src)
+	kept := rrKeep(s.ns.Len(), eps, s.src)
 	if end != nil {
-		end("rows", strconv.Itoa(s.db.Len()))
+		end("rows", strconv.Itoa(s.ns.Len()), "kept", strconv.Itoa(len(kept)))
 	}
-	return rel, nil
+	return s.ns.Take(kept), nil
 }
 
 // Count answers a counting query (records matching pred) with one-sided
@@ -204,7 +205,7 @@ func (s *Session) Count(pred dataset.Predicate, eps float64, trace ...TraceHook)
 // fresh budget slice or a larger eps.
 //
 // The ε charge is consumed even when the sample comes up empty. This is
-// deliberate, not a bug: the Bernoulli draws ARE the OsdpRR mechanism
+// deliberate, not a bug: the keep draws ARE the OsdpRR mechanism
 // execution, and "the sample was empty" is itself an observable outcome
 // of that execution. Refunding the charge would let an analyst repeat the
 // call until a non-empty sample appeared while paying for only one run,
@@ -214,20 +215,17 @@ func (s *Session) Quantile(attr string, q, eps float64, trace ...TraceHook) (flo
 	if q < 0 || q > 1 {
 		return 0, fmt.Errorf("core: quantile q=%v outside [0, 1]", q)
 	}
+	ci := s.ns.Schema().ColumnIndex(attr)
+	if ci < 0 {
+		return 0, fmt.Errorf("core: quantile of unknown attribute %q", attr)
+	}
 	if err := s.charge(eps); err != nil {
 		return 0, fmt.Errorf("core: quantile rejected: %w", err)
 	}
-	// The Bernoulli keep loop IS the mechanism execution — scan and
-	// randomness are inseparable here, so it traces as one "noise"
-	// phase.
+	// The keep draws ARE the mechanism execution, so drawing them and
+	// gathering the kept values trace as one "noise" phase.
 	end := beginPhase(trace, "noise")
-	keep := noise.KeepProbability(eps)
-	var values []float64
-	for i, n := 0, s.ns.Len(); i < n; i++ {
-		if noise.Bernoulli(s.src, keep) {
-			values = append(values, s.ns.Record(i).Get(attr).AsFloat())
-		}
-	}
+	values := keptFloats(s.ns.Take(rrKeep(s.ns.Len(), eps, s.src)), ci)
 	if end != nil {
 		end("rows", strconv.Itoa(s.ns.Len()), "kept", strconv.Itoa(len(values)))
 	}
@@ -240,4 +238,32 @@ func (s *Session) Quantile(attr string, q, eps float64, trace ...TraceHook) (flo
 		rank = 1
 	}
 	return values[rank-1], nil
+}
+
+// keptFloats reads column ci of every record of rel as a float64,
+// straight from the typed int or float vector; only a column holding
+// mixed-kind values goes through Value.AsFloat.
+func keptFloats(rel *dataset.Table, ci int) []float64 {
+	sel := rel.Selection()
+	out := make([]float64, rel.Len())
+	row := func(i int) int32 {
+		if sel == nil {
+			return int32(i)
+		}
+		return sel[i]
+	}
+	if ints, ok := rel.ColumnInts(ci); ok {
+		for i := range out {
+			out[i] = float64(ints[row(i)])
+		}
+	} else if floats, ok := rel.ColumnFloats(ci); ok {
+		for i := range out {
+			out[i] = floats[row(i)]
+		}
+	} else {
+		for i := range out {
+			out[i] = rel.Record(i).At(ci).AsFloat()
+		}
+	}
+	return out
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // constSource always returns the same uniform value — handy for forcing
-// every Bernoulli draw to one outcome.
+// every keep gap to one length.
 type constSource float64
 
 func (c constSource) Float64() float64 { return float64(c) }
@@ -26,15 +26,16 @@ func smallNumericTable(t *testing.T, n int) *dataset.Table {
 }
 
 // TestQuantileChargesOnEmptySample pins the budget semantics documented on
-// Session.Quantile: when the Bernoulli sample keeps zero records the call
+// Session.Quantile: when the OsdpRR sample keeps zero records the call
 // fails, but the ε charge stays spent. The draws are an observable run of
 // OsdpRR, so refunding would allow free retries outside the accounted
 // transcript.
 func TestQuantileChargesOnEmptySample(t *testing.T) {
 	db := smallNumericTable(t, 50)
-	// Float64() == 0.99 makes every Bernoulli(keep) false for
-	// keep = 1-e^-0.5 ≈ 0.39, so the sample is deterministically empty.
-	sess := NewSession(db, dataset.AllNonSensitive(), 2.0, constSource(0.99))
+	// Float64() == 1−1e-12 makes every keep gap ⌊−ln(1e-12)/0.5⌋ = 55
+	// records, past the 50-record table, so the sample is
+	// deterministically empty.
+	sess := NewSession(db, dataset.AllNonSensitive(), 2.0, constSource(1-1e-12))
 
 	const eps = 0.5
 	_, err := sess.Quantile("X", 0.5, eps)
@@ -52,7 +53,8 @@ func TestQuantileChargesOnEmptySample(t *testing.T) {
 	}
 
 	// A successful retry pays again: the two runs compose to 2·eps.
-	// Float64() == 0.1 keeps every record.
+	// Float64() == 0.1 makes every keep gap ⌊−ln(0.9)/0.5⌋ = 0: every
+	// record is kept.
 	sess2 := &Session{}
 	*sess2 = *sess
 	sess2.src = constSource(0.1)
@@ -65,7 +67,7 @@ func TestQuantileChargesOnEmptySample(t *testing.T) {
 }
 
 // TestQuantileRejectedWhenBudgetExhausted checks the complementary
-// property: a charge that would overdraw is refused before any Bernoulli
+// property: a charge that would overdraw is refused before any keep
 // draw, so nothing is spent and nothing is leaked.
 func TestQuantileRejectedWhenBudgetExhausted(t *testing.T) {
 	db := smallNumericTable(t, 10)

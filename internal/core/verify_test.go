@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -103,5 +104,97 @@ func TestMultisetEventCanonical(t *testing.T) {
 	c.Append(rec(s, 1, 30))
 	if multisetEvent(a) == multisetEvent(c) {
 		t.Error("different releases share an event key")
+	}
+}
+
+// servedMech runs VerifyOSDP through the Session query path the server
+// serves: each Release opens an unlimited session over the (neighbour)
+// table and answers one query on it. drawEps is the ε the query runs
+// at, while the verifier holds it to the declared eps. The two mutation
+// controls are drawEps = 2·eps and leakAll, which hands the session the
+// whole table as its non-sensitive partition, as releasing from s.db
+// instead of s.ns would.
+type servedMech struct {
+	policy  dataset.Policy
+	eps     float64
+	drawEps float64
+	leakAll bool
+	query   func(s *Session, eps float64) (*dataset.Table, error)
+}
+
+func (m servedMech) Release(db *dataset.Table, src noise.Source) *dataset.Table {
+	sess := NewSession(db, m.policy, 0, src)
+	if m.leakAll {
+		sess = NewSessionWithPartition(db, db, m.policy, 0, src)
+	}
+	out, err := m.query(sess, m.drawEps)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
+func (m servedMech) Guarantee() Guarantee { return Guarantee{Policy: m.policy, Epsilon: m.eps} }
+func (m servedMech) Name() string         { return "served" }
+
+// servedSample is Session.Sample as a verifier query.
+func servedSample(s *Session, eps float64) (*dataset.Table, error) { return s.Sample(eps) }
+
+// servedQuantile is Session.Quantile of Age as a verifier query. The
+// released value becomes a one-record table, an empty sample an empty
+// one, so the event is the value or "empty".
+func servedQuantile(s *Session, eps float64) (*dataset.Table, error) {
+	out := dataset.NewTable(dataset.NewSchema(dataset.Field{Name: "median", Kind: dataset.KindInt}))
+	v, err := s.Quantile("Age", 0.5, eps)
+	if errors.Is(err, ErrEmptySample) {
+		return out, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	out.AppendValues(dataset.Int(int64(v)))
+	return out, nil
+}
+
+// verifyServed runs VerifyOSDP on mech over the 4-record universe and
+// returns the loss with the slack its trial count allows: every event
+// the verifier scores has probability ≥ minProb in one world and, under
+// a correct mechanism, ≥ minProb·e^(−ε) in the other, so 4.5 standard
+// deviations of the estimated log ratio bound the sampling error.
+func verifyServed(mech servedMech, trials int, seed int64) (VerifyResult, float64) {
+	const minProb = 0.05
+	s := testSchema()
+	res := VerifyOSDP(mech, testDB(s, 10, 30), minorsPolicy(), verifyUniverse(s),
+		VerifyConfig{Trials: trials, MinEventProb: minProb}, noise.NewSource(seed))
+	slack := 4.5 * math.Sqrt((1+math.Exp(mech.eps))/(minProb*float64(trials)))
+	return res, slack
+}
+
+// The served Sample and Quantile are (P, ε)-OSDP as measured by the
+// verifier, not only the RR mechanism they are built from; releasing
+// from the whole table, or drawing at 2ε while charging ε, is flagged.
+func TestVerifyOSDPServedSessionQueries(t *testing.T) {
+	const eps, trials = 1.0, 40000
+	policy := minorsPolicy()
+	for _, q := range []struct {
+		name  string
+		query func(*Session, float64) (*dataset.Table, error)
+	}{{"Sample", servedSample}, {"Quantile", servedQuantile}} {
+		res, slack := verifyServed(servedMech{policy: policy, eps: eps, drawEps: eps, query: q.query}, trials, 11)
+		if res.Pairs == 0 {
+			t.Fatalf("%s: no neighbour pairs exercised", q.name)
+		}
+		if res.MaxLogRatio > eps+slack {
+			t.Errorf("%s: empirical loss %v exceeds ε=%v + slack %.3f (worst: %s)", q.name, res.MaxLogRatio, eps, slack, res.WorstPair)
+		}
+
+		leak, _ := verifyServed(servedMech{policy: policy, eps: eps, drawEps: eps, leakAll: true, query: q.query}, trials/10, 12)
+		if !math.IsInf(leak.MaxLogRatio, 1) {
+			t.Errorf("%s releasing from the whole table passed with loss %v", q.name, leak.MaxLogRatio)
+		}
+		over, slack := verifyServed(servedMech{policy: policy, eps: eps, drawEps: 2 * eps, query: q.query}, trials, 13)
+		if over.MaxLogRatio <= eps+slack {
+			t.Errorf("%s drawing at 2ε passed with loss %v ≤ ε + slack %.3f", q.name, over.MaxLogRatio, eps+slack)
+		}
 	}
 }

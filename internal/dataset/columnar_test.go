@@ -351,3 +351,49 @@ func TestBitsetBasics(t *testing.T) {
 		t.Errorf("indices = %v", idx)
 	}
 }
+
+// Take selects positions as a view sharing the table's storage; the
+// view is copy-on-append, composes with Split, and an empty Take is an
+// empty view, never the whole base table.
+func TestTakeView(t *testing.T) {
+	s := NewSchema(Field{"X", KindInt})
+	tb := NewTable(s)
+	for i := 0; i < 10; i++ {
+		tb.AppendValues(Int(int64(i)))
+	}
+	_, ns := tb.Split(NewPolicy("low", Cmp("X", OpLt, Int(4)))) // 4..9
+	v := ns.Take([]int32{0, 2, 5})
+	if v.Base() != tb {
+		t.Error("Take does not share the table's storage")
+	}
+	if got := v.Selection(); len(got) != 3 || got[0] != 4 || got[1] != 6 || got[2] != 9 {
+		t.Errorf("Take of a view selects physical rows %v, want [4 6 9]", got)
+	}
+	v.AppendValues(Int(99))
+	if v.Len() != 4 || tb.Len() != 10 || v.Base() == tb {
+		t.Errorf("after append: view=%d parent=%d, want a detached view of 4", v.Len(), tb.Len())
+	}
+	if got := tb.Record(9).Get("X").AsInt(); got != 9 {
+		t.Errorf("parent corrupted: row 9 reads %d", got)
+	}
+
+	empty := tb.Take(nil)
+	if empty.Len() != 0 || empty.Count(True()) != 0 {
+		t.Errorf("empty Take has %d records, counts %d", empty.Len(), empty.Count(True()))
+	}
+	empty.AppendValues(Int(7))
+	if tb.Len() != 10 {
+		t.Errorf("appending to an empty Take grew the base to %d rows", tb.Len())
+	}
+
+	for _, bad := range [][]int32{{1, 1}, {3, 2}, {-1}, {10}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Take(%v) did not panic", bad)
+				}
+			}()
+			tb.Take(bad)
+		}()
+	}
+}

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -105,30 +106,117 @@ func parseValue(cell string, kind Kind) (Value, error) {
 }
 
 // WriteCSV writes the table in the format ReadCSV accepts, including the
-// typed header. Round-tripping a table through WriteCSV/ReadCSV preserves
-// schema and values, with one encoding/csv caveat: a single-column record
-// holding the empty string serialises to a blank line, which CSV readers
-// skip — such records do not survive the round trip.
+// typed header; round-tripping a table through WriteCSV/ReadCSV
+// preserves schema and values. The bytes are those of an encoding/csv
+// Writer fed each record's At(i).AsString() cells, except that a
+// single-column record whose cell renders empty is written as `""`
+// rather than as a blank line, which CSV readers skip.
+//
+// The encoder is columnar: ints, floats and bools append straight into
+// a byte buffer (strconv.Append*, which never yield a cell that needs
+// quoting), each dictionary string is quoted by encoding/csv's rules
+// once per dictionary entry, and only mixed-kind exception cells go
+// through Value.AsString.
 func WriteCSV(w io.Writer, t *Table) error {
-	cw := csv.NewWriter(w)
 	s := t.Schema()
-	header := make([]string, s.Len())
+	q := newCSVQuoter()
+	var buf []byte
 	for i, name := range s.Names() {
-		kind, _ := s.KindOf(name)
-		header[i] = name + ":" + kind.String()
-	}
-	if err := cw.Write(header); err != nil {
-		return fmt.Errorf("dataset: writing header: %w", err)
-	}
-	row := make([]string, s.Len())
-	for _, r := range t.Records() {
-		for i := 0; i < s.Len(); i++ {
-			row[i] = r.At(i).AsString()
+		if i > 0 {
+			buf = append(buf, ',')
 		}
-		if err := cw.Write(row); err != nil {
-			return fmt.Errorf("dataset: writing row: %w", err)
+		buf = append(buf, q.field(name+":"+s.kinds[i].String())...)
+	}
+	buf = append(buf, '\n')
+	cols := make([]csvColumn, s.Len())
+	for i, c := range t.Base().cols {
+		cols[i].column = c
+		if c.kind == KindString {
+			cols[i].fields = make([]string, len(c.dict.vals))
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	for i, n := 0, t.Len(); i < n; i++ {
+		r := t.physRow(i)
+		start := len(buf)
+		for j := range cols {
+			if j > 0 {
+				buf = append(buf, ',')
+			}
+			buf = cols[j].appendCell(buf, r, q)
+		}
+		if len(cols) == 1 && len(buf) == start {
+			buf = append(buf, `""`...)
+		}
+		buf = append(buf, '\n')
+		if len(buf) >= csvFlushBytes {
+			if _, err := w.Write(buf); err != nil {
+				return fmt.Errorf("dataset: writing CSV: %w", err)
+			}
+			buf = buf[:0]
+		}
+	}
+	if _, err := w.Write(buf); err != nil {
+		return fmt.Errorf("dataset: writing CSV: %w", err)
+	}
+	return nil
+}
+
+// csvFlushBytes is how much encoded output WriteCSV buffers before
+// handing it to the writer.
+const csvFlushBytes = 64 << 10
+
+// csvQuoter renders a string as a CSV field by encoding/csv's own rules:
+// it writes the string as a one-field record and keeps what the Writer
+// emitted before the record's terminating newline.
+type csvQuoter struct {
+	buf bytes.Buffer
+	w   *csv.Writer
+}
+
+func newCSVQuoter() *csvQuoter {
+	q := &csvQuoter{}
+	q.w = csv.NewWriter(&q.buf)
+	return q
+}
+
+func (q *csvQuoter) field(s string) string {
+	q.buf.Reset()
+	// A bytes.Buffer never fails a write, so neither can the Writer.
+	_ = q.w.Write([]string{s})
+	q.w.Flush()
+	return string(q.buf.Bytes()[:q.buf.Len()-1])
+}
+
+// csvColumn encodes one column's cells for WriteCSV. fields caches the
+// rendered field of each dictionary entry of a string column, filled on
+// first use.
+type csvColumn struct {
+	*column
+	fields []string
+}
+
+// appendCell appends the CSV field of physical row r.
+func (c *csvColumn) appendCell(b []byte, r int, q *csvQuoter) []byte {
+	if len(c.exc) != 0 {
+		if v, ok := c.exc[r]; ok {
+			return append(b, q.field(v.AsString())...)
+		}
+	}
+	switch c.kind {
+	case KindInt:
+		return strconv.AppendInt(b, c.ints[r], 10)
+	case KindFloat:
+		return strconv.AppendFloat(b, c.floats[r], 'g', -1, 64)
+	case KindBool:
+		return strconv.AppendBool(b, c.bools[r])
+	}
+	code := c.codes[r]
+	f := c.fields[code]
+	// Only the empty string renders empty, so an empty cache slot for
+	// any other entry means "not rendered yet".
+	if f == "" && c.dict.vals[code] != "" {
+		f = q.field(c.dict.vals[code])
+		c.fields[code] = f
+	}
+	return append(b, f...)
 }

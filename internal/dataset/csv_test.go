@@ -2,6 +2,11 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/csv"
+	"fmt"
+	"io"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -97,5 +102,175 @@ func TestWriteCSVEmptyTable(t *testing.T) {
 	}
 	if got := buf.String(); got != "A:int\n" {
 		t.Errorf("empty table CSV = %q", got)
+	}
+}
+
+// A single-column record holding the empty string must survive the
+// round trip: it is written as `""`, not as a blank line CSV readers
+// skip.
+func TestCSVRoundTripKeepsEmptySingleColumnRows(t *testing.T) {
+	tb := NewTable(NewSchema(Field{Name: "S", Kind: KindString}))
+	for _, v := range []string{"a", "", "b"} {
+		tb.AppendValues(Str(v))
+	}
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, tb); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := buf.String(), "S:string\na\n\"\"\nb\n"; got != want {
+		t.Errorf("WriteCSV = %q, want %q", got, want)
+	}
+	again, err := ReadCSV(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Len() != 3 {
+		t.Fatalf("round trip kept %d of 3 records", again.Len())
+	}
+	for i, want := range []string{"a", "", "b"} {
+		if got := again.Record(i).At(0).AsString(); got != want {
+			t.Errorf("record %d = %q, want %q", i, got, want)
+		}
+	}
+}
+
+// writeCSVRowLoop is the record-at-a-time encoder WriteCSV replaced,
+// kept verbatim as the oracle for the columnar one.
+func writeCSVRowLoop(w io.Writer, t *Table) error {
+	cw := csv.NewWriter(w)
+	s := t.Schema()
+	header := make([]string, s.Len())
+	for i, name := range s.Names() {
+		kind, _ := s.KindOf(name)
+		header[i] = name + ":" + kind.String()
+	}
+	if err := cw.Write(header); err != nil {
+		return fmt.Errorf("dataset: writing header: %w", err)
+	}
+	row := make([]string, s.Len())
+	for _, r := range t.Records() {
+		for i := 0; i < s.Len(); i++ {
+			row[i] = r.At(i).AsString()
+		}
+		if err := cw.Write(row); err != nil {
+			return fmt.Errorf("dataset: writing row: %w", err)
+		}
+	}
+	cw.Flush()
+	return cw.Error()
+}
+
+// assertSameCSV checks that WriteCSV and the row-loop oracle emit the
+// same bytes for tb.
+func assertSameCSV(t *testing.T, name string, tb *Table) {
+	t.Helper()
+	var got, want bytes.Buffer
+	if err := WriteCSV(&got, tb); err != nil {
+		t.Fatalf("%s: WriteCSV: %v", name, err)
+	}
+	if err := writeCSVRowLoop(&want, tb); err != nil {
+		t.Fatalf("%s: oracle: %v", name, err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("%s: columnar encoder differs from the row loop\n got: %q\nwant: %q", name, got.String(), want.String())
+	}
+}
+
+// The columnar encoder is byte-identical to the row loop on every cell
+// kind, on cells that need quoting, on mixed-kind exceptions and on
+// views; only the single-column empty record differs (tested above).
+func TestWriteCSVMatchesRowLoop(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	quoted := []string{
+		"plain", "a,b", `say "hi"`, "cr\rx", "lf\nx", "crlf\r\n", " lead", "\tlead",
+		`\.`, `\.x`, "", `"`, "trail ", "\u00a0nbsp", "ünïcode",
+	}
+	floats := []float64{math.NaN(), math.Inf(1), math.Inf(-1), negZero, 1e21, 5e-324, 0.1, -1.5e-7, math.MaxFloat64, 0}
+	ints := []int64{math.MinInt64, math.MaxInt64, 0, -1, 42}
+
+	tb := NewTable(NewSchema(
+		Field{Name: "S", Kind: KindString},
+		Field{Name: "na,me", Kind: KindString}, // header cell that needs quoting
+		Field{Name: "I", Kind: KindInt},
+		Field{Name: "F", Kind: KindFloat},
+		Field{Name: "B", Kind: KindBool},
+	))
+	for i := 0; i < 40; i++ {
+		tb.AppendValues(
+			Str(quoted[i%len(quoted)]),
+			Str(quoted[(i*7+3)%len(quoted)]),
+			Int(ints[i%len(ints)]),
+			Float(floats[i%len(floats)]),
+			Bool(i%3 == 0),
+		)
+	}
+	assertSameCSV(t, "typed", tb)
+	assertSameCSV(t, "Take", tb.Take([]int32{0, 3, 4, 15, 39}))
+	assertSameCSV(t, "Filter", tb.Filter(Cmp("I", OpLt, Int(1))))
+	sens, ns := tb.Split(NewPolicy("b", Cmp("B", OpEq, Bool(true))))
+	assertSameCSV(t, "Split sensitive", sens)
+	assertSameCSV(t, "Take of Split", ns.Take([]int32{1, 2, 10}))
+	assertSameCSV(t, "empty Take", tb.Take(nil))
+
+	// Mixed-kind exceptions: each column holds values of other kinds,
+	// including renderings that need quoting or are empty.
+	mixed := NewTable(NewSchema(
+		Field{Name: "I", Kind: KindInt},
+		Field{Name: "S", Kind: KindString},
+		Field{Name: "F", Kind: KindFloat},
+		Field{Name: "B", Kind: KindBool},
+	))
+	mixed.AppendValues(Int(1), Str("x"), Float(0.5), Bool(true))
+	mixed.AppendValues(Str("a,b"), Int(5), Str(" x"), Int(3))
+	mixed.AppendValues(Str(""), Float(negZero), Bool(false), Str("line\nbreak"))
+	mixed.AppendValues(Float(2.5), Bool(true), Int(math.MinInt64), Float(math.NaN()))
+	mixed.AppendValues(Int(2), Str(""), Float(1e21), Bool(false))
+	assertSameCSV(t, "mixed", mixed)
+	assertSameCSV(t, "mixed Take", mixed.Take([]int32{1, 2, 4}))
+
+	// Single-column tables match whenever no cell renders empty.
+	one := NewTable(NewSchema(Field{Name: "S", Kind: KindString}))
+	for _, v := range quoted {
+		if v != "" {
+			one.AppendValues(Str(v))
+		}
+	}
+	assertSameCSV(t, "single string column", one)
+	oneInt := NewTable(NewSchema(Field{Name: "I", Kind: KindInt}))
+	for _, v := range ints {
+		oneInt.AppendValues(Int(v))
+	}
+	assertSameCSV(t, "single int column", oneInt)
+	assertSameCSV(t, "no columns", NewTable(NewSchema()))
+
+	// Random multi-column tables over the differential-test value pool,
+	// which mixes kinds within columns.
+	rng := rand.New(rand.NewSource(17))
+	kinds := []Kind{KindInt, KindFloat, KindString, KindBool}
+	for trial := 0; trial < 50; trial++ {
+		fields := make([]Field, 2+rng.Intn(3))
+		for i := range fields {
+			fields[i] = Field{Name: fmt.Sprintf("c%d", i), Kind: kinds[rng.Intn(len(kinds))]}
+		}
+		rt := NewTable(NewSchema(fields...))
+		for r := rng.Intn(30); r > 0; r-- {
+			vals := make([]Value, len(fields))
+			for i, f := range fields {
+				if rng.Intn(4) == 0 {
+					vals[i] = randomValue(rng)
+				} else {
+					vals[i] = randomTypedValue(rng, f.Kind)
+				}
+			}
+			rt.AppendValues(vals...)
+		}
+		assertSameCSV(t, fmt.Sprintf("random %d", trial), rt)
+		var pos []int32
+		for i := 0; i < rt.Len(); i++ {
+			if rng.Intn(2) == 0 {
+				pos = append(pos, int32(i))
+			}
+		}
+		assertSameCSV(t, fmt.Sprintf("random %d Take", trial), rt.Take(pos))
 	}
 }

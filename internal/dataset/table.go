@@ -346,6 +346,28 @@ func (t *Table) viewOf(positions []int32) *Table {
 	return &Table{schema: t.schema, cols: t.Base().cols, base: t.Base(), sel: sel}
 }
 
+// Take returns the records at the given table-relative positions as a
+// view sharing this table's storage (copy-on-append, like Filter and
+// Split): no column data is copied. positions must be strictly
+// increasing and in [0, Len()); Take panics otherwise. A view of a base
+// table keeps positions as its selection vector, so the caller must not
+// modify the slice afterwards.
+func (t *Table) Take(positions []int32) *Table {
+	prev := int32(-1)
+	for _, p := range positions {
+		if p <= prev || int(p) >= t.Len() {
+			panic(fmt.Sprintf("dataset: Take positions must be strictly increasing in [0, %d), got %d after %d", t.Len(), p, prev))
+		}
+		prev = p
+	}
+	if positions == nil {
+		// A nil selection marks a base table; an empty view needs an
+		// empty, non-nil one.
+		positions = []int32{}
+	}
+	return t.viewOf(positions)
+}
+
 // viewFromSel returns a view of the BASE storage with the given physical
 // selection vector (which must not be mutated afterwards).
 func (t *Table) viewFromSel(sel []int32) *Table {

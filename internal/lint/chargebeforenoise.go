@@ -51,7 +51,7 @@ var noiseSamplers = map[string]bool{
 	"Laplace": true, "LaplaceVec": true,
 	"OneSidedLaplace": true, "OneSidedLaplaceVec": true,
 	"Bernoulli": true, "Geometric": true, "Binomial": true,
-	"Gaussian": true, "Exponential": true,
+	"Gaussian": true, "Exponential": true, "KeepGap": true,
 }
 
 // sessionQueryMethods are the noise-drawing methods of core.Session as

@@ -25,6 +25,17 @@ func (s *Session) BadCount(eps float64) float64 {
 	return v
 }
 
+// keepSrc is a source reached without the session's src field, so only
+// the sampler name can flag the draw below.
+var keepSrc Source
+
+// BadKeep draws an OsdpRR keep gap before charging.
+func (s *Session) BadKeep(eps float64) float64 {
+	g := noise.KeepGap(keepSrc, eps) // want `reaches the noise source before charging`
+	_ = s.charge(eps)
+	return g
+}
+
 // GoodCount charges first, then samples.
 func (s *Session) GoodCount(eps float64) float64 {
 	if err := s.charge(eps); err != nil {

@@ -177,13 +177,27 @@ func Gaussian(src Source, sigma float64) float64 {
 }
 
 // Exponential draws from Exp(rate): density rate·exp(-rate·x) on x >= 0.
-// Used by the trace simulator for dwell times.
+// Used by the trace simulator for dwell times and by KeepGap.
 func Exponential(src Source, rate float64) float64 {
 	if rate <= 0 {
 		panic("noise: exponential rate must be positive")
 	}
 	u := src.Float64()
 	return -math.Log1p(-u) / rate
+}
+
+// KeepGap draws how many records OsdpRR skips before its next keep at
+// privacy level eps: ⌊E/ε⌋ with E = −ln(1−U) ~ Exp(1). Then
+// Pr[gap ≥ k] = Pr[E ≥ kε] = e^(−kε) = (1−p)^k for p = 1 − e^(−ε), the
+// waiting time of i.i.d. Bernoulli(p) keeps, so a keep loop that jumps
+// by gaps keeps each record independently with probability p while
+// drawing one uniform per KEPT record instead of one per record. The gap
+// is a float64 because at tiny eps it exceeds every int; callers compare
+// it with the records left before converting.
+//
+// KeepGap panics if eps <= 0.
+func KeepGap(src Source, eps float64) float64 {
+	return math.Floor(Exponential(src, eps))
 }
 
 // KeepProbability is the per-record release probability of OsdpRR at

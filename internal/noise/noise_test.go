@@ -211,6 +211,48 @@ func TestKeepProbabilityTable1(t *testing.T) {
 	}
 }
 
+// KeepGap is the waiting time of Bernoulli(1−e^(−ε)) keeps: its tail
+// Pr[gap ≥ k] is e^(−kε), and a tiny ε gives a huge but finite gap.
+func TestKeepGapTail(t *testing.T) {
+	src := NewSource(11)
+	const eps = 0.5
+	tail := make([]int, 5)
+	for i := 0; i < statN; i++ {
+		g := KeepGap(src, eps)
+		if g < 0 || g != math.Floor(g) {
+			t.Fatalf("KeepGap = %v, want a non-negative integer", g)
+		}
+		for k := range tail {
+			if g >= float64(k) {
+				tail[k]++
+			}
+		}
+	}
+	for k, n := range tail {
+		want := math.Exp(-float64(k) * eps)
+		if got := float64(n) / statN; math.Abs(got-want) > 0.01 {
+			t.Errorf("Pr[gap >= %d] = %v, want ~%v", k, got, want)
+		}
+	}
+	if g := KeepGap(constUniform(0.5), 1e-300); math.IsInf(g, 0) || g < 1e299 {
+		t.Errorf("KeepGap at eps=1e-300 = %v, want finite and huge", g)
+	}
+	if g := KeepGap(constUniform(0.999999), 40); g != 0 {
+		t.Errorf("KeepGap at eps=40 = %v, want 0 (keep every record)", g)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("KeepGap(eps=0) did not panic")
+		}
+	}()
+	KeepGap(src, 0)
+}
+
+// constUniform is a Source that always returns the same uniform.
+type constUniform float64
+
+func (c constUniform) Float64() float64 { return float64(c) }
+
 // Property: one-sided Laplace samples are never positive, for any scale.
 func TestOneSidedLaplaceNeverPositiveQuick(t *testing.T) {
 	src := NewSource(11)

@@ -55,6 +55,39 @@ func newTestClient(t *testing.T, cfg Config) *Client {
 
 func seed(n int64) *int64 { return &n }
 
+// A released record whose only cell is the empty string reaches the
+// client: the sample's CSV writes it as `""`, not as a blank line the
+// client's CSV reader would skip.
+func TestSampleKeepsEmptySingleColumnRecords(t *testing.T) {
+	c := newTestClient(t, Config{})
+	info, err := c.RegisterDatasetCSV(ctx, RegisterDatasetRequest{
+		Name: "notes", CSV: "Note:string\na\n\"\"\nb\n\"\"\nsecret\n",
+		Policy: PolicySpec{Name: "secret", SensitiveWhen: PredicateSpec{Op: "cmp", Attr: "Note", Cmp: "=", Value: "secret"}},
+	})
+	if err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	sc, err := c.OpenSession(ctx, "notes", 0, seed(1))
+	if err != nil {
+		t.Fatalf("open session: %v", err)
+	}
+	// At ε = 40 every non-sensitive record is kept (1 − e^−40 rounds to 1).
+	sample, err := sc.Sample(ctx, 40)
+	if err != nil {
+		t.Fatalf("sample: %v", err)
+	}
+	if sample.Len() != info.NonSensitive {
+		t.Fatalf("client parsed %d of %d released records", sample.Len(), info.NonSensitive)
+	}
+	var got []string
+	for _, r := range sample.Records() {
+		got = append(got, r.At(0).AsString())
+	}
+	if strings.Join(got, "|") != "a||b|" {
+		t.Fatalf("released notes %q, want [a  b ]", got)
+	}
+}
+
 // TestEndToEndAllQueryKinds drives every query kind over the real wire
 // and checks the budget ledger after each answer.
 func TestEndToEndAllQueryKinds(t *testing.T) {
