@@ -11,6 +11,7 @@ package osdp
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -216,6 +217,62 @@ func BenchmarkExtension_PrivBayes(b *testing.B) {
 
 const dataplaneRows = 1_000_000
 
+// newDataplaneTable builds a rows-long table with a `groups`-ary string
+// attribute ("Group"), an integer "Age" (0..99) for the WHERE condition,
+// and a float "Score" payload. Deterministic in seed.
+func newDataplaneTable(rows, groups int, seed int64) *dataset.Table {
+	rng := rand.New(rand.NewSource(seed))
+	s := dataset.NewSchema(
+		dataset.Field{Name: "Group", Kind: dataset.KindString},
+		dataset.Field{Name: "Age", Kind: dataset.KindInt},
+		dataset.Field{Name: "Score", Kind: dataset.KindFloat},
+	)
+	names := make([]string, groups)
+	for i := range names {
+		names[i] = fmt.Sprintf("group-%03d", i)
+	}
+	tb := dataset.NewTable(s)
+	for i := 0; i < rows; i++ {
+		tb.AppendValues(
+			dataset.Str(names[rng.Intn(groups)]),
+			dataset.Int(int64(rng.Intn(100))),
+			dataset.Float(rng.Float64()*1000),
+		)
+	}
+	return tb
+}
+
+// dataplaneWhere is the benchmark condition: 18 <= Age < 60 (~42% of
+// rows), a conjunction so the row path pays two interface dispatches.
+func dataplaneWhere() dataset.Predicate {
+	return dataset.And(
+		dataset.Cmp("Age", dataset.OpGe, dataset.Int(18)),
+		dataset.Cmp("Age", dataset.OpLt, dataset.Int(60)),
+	)
+}
+
+// rowReferenceGroupCount is the row-at-a-time baseline and correctness
+// reference: evaluate the predicate record by record through the
+// Predicate interface, group by rendering each value into a string-keyed
+// map — the pre-columnar engine's algorithm. rows is the pre-built row
+// slice (callers hoist t.Records() out of timed regions, mirroring the
+// old engine's stored record slice). Note the baseline is not a perfect
+// replica of the old engine: records now read through the columnar
+// storage, reconstructing a Value per access where the old Table
+// returned stored Values directly — the benchmark measures today's row
+// path against today's columnar path on identical storage.
+func rowReferenceGroupCount(t *dataset.Table, rows []dataset.Record, where dataset.Predicate, attr string) map[string]int {
+	ci := t.Schema().ColumnIndex(attr)
+	out := make(map[string]int)
+	for _, r := range rows {
+		if where != nil && !where.Eval(r) {
+			continue
+		}
+		out[r.At(ci).AsString()]++
+	}
+	return out
+}
+
 var (
 	dataplaneOnce  sync.Once
 	dataplaneTable *dataset.Table
@@ -226,7 +283,7 @@ var (
 // condition, and a float payload.
 func dataplaneBenchTable() *dataset.Table {
 	dataplaneOnce.Do(func() {
-		dataplaneTable = experiments.DataplaneTable(dataplaneRows, 64, 1)
+		dataplaneTable = newDataplaneTable(dataplaneRows, 64, 1)
 	})
 	return dataplaneTable
 }
@@ -236,19 +293,19 @@ func dataplaneBenchTable() *dataset.Table {
 // (interface-dispatched predicate per record, string-keyed map grouping;
 // the pre-columnar engine's algorithm, with its record slice hoisted out
 // of the timed region like the old stored slice — see
-// experiments.RowReferenceGroupCount for the caveats) and through the
+// rowReferenceGroupCount for the caveats) and through the
 // columnar engine (compiled predicate bitset + cached bin-id vector).
 // The acceptance bar for the columnar data plane is >= 5x throughput on
 // this workload.
 func BenchmarkRowVsColumnar(b *testing.B) {
 	tb := dataplaneBenchTable()
-	where := experiments.DataplaneWhere()
+	where := dataplaneWhere()
 	b.Run("row", func(b *testing.B) {
 		rows := tb.Records() // hoisted: the old engine kept this slice stored
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			counts := experiments.RowReferenceGroupCount(tb, rows, where, "Group")
+			counts := rowReferenceGroupCount(tb, rows, where, "Group")
 			if len(counts) == 0 {
 				b.Fatal("empty result")
 			}
@@ -307,7 +364,7 @@ func BenchmarkServerHistogramQuery(b *testing.B) {
 // record). Compared across a 64x row-count spread with generous slack.
 func TestServerHistogramQueryAllocs(t *testing.T) {
 	allocsFor := func(rows int) float64 {
-		tb := experiments.DataplaneTable(rows, 16, 2)
+		tb := newDataplaneTable(rows, 16, 2)
 		srv := server.New(server.Config{AllowSeededSessions: true})
 		if err := srv.RegisterTable("d", tb, dataset.AllNonSensitive()); err != nil {
 			t.Fatal(err)
@@ -346,9 +403,9 @@ func TestServerHistogramQueryAllocs(t *testing.T) {
 // TestRowVsColumnarAgree guards the benchmark's two paths against
 // divergence: identical counts, whatever the speed.
 func TestRowVsColumnarAgree(t *testing.T) {
-	tb := experiments.DataplaneTable(20000, 32, 3)
-	where := experiments.DataplaneWhere()
-	ref := experiments.RowReferenceGroupCount(tb, tb.Records(), where, "Group")
+	tb := newDataplaneTable(20000, 32, 3)
+	where := dataplaneWhere()
+	ref := rowReferenceGroupCount(tb, tb.Records(), where, "Group")
 	q := histogram.NewQuery(where, histogram.DomainFromTable(tb, "Group"))
 	h := q.Eval(tb)
 	for i := 0; i < h.Bins(); i++ {
@@ -443,11 +500,9 @@ func BenchmarkNoise_OneSidedLaplace(b *testing.B) {
 // parallel data plane is >= 2x on this workload at 4+ workers on a
 // machine with 4+ CPUs; on fewer CPUs the parallel arm measures pool
 // overhead instead (speedup is bounded by min(workers, CPUs)).
-// cmd/osdp-bench -parallel emits the same measurement as
-// BENCH_parallel.json for CI.
 func BenchmarkParallelScan(b *testing.B) {
 	tb := dataplaneBenchTable()
-	where := experiments.DataplaneWhere()
+	where := dataplaneWhere()
 	q := histogram.NewQuery(where, histogram.DomainFromTable(tb, "Group"))
 	prev := dataset.ScanWorkers()
 	defer dataset.SetScanWorkers(prev)
@@ -476,8 +531,8 @@ func TestParallelScanAllocs(t *testing.T) {
 	defer dataset.SetScanWorkers(prev)
 	dataset.SetScanWorkers(8)
 	allocsFor := func(rows int) float64 {
-		tb := experiments.DataplaneTable(rows, 16, 2)
-		where := experiments.DataplaneWhere()
+		tb := newDataplaneTable(rows, 16, 2)
+		where := dataplaneWhere()
 		q := histogram.NewQuery(where, histogram.DomainFromTable(tb, "Group"))
 		q.Eval(tb) // warm the bin vector
 		return testing.AllocsPerRun(10, func() {
@@ -504,7 +559,7 @@ func TestParallelScanAgreesAtFullScale(t *testing.T) {
 		t.Skip("1M-row differential check is slow")
 	}
 	tb := dataplaneBenchTable()
-	where := experiments.DataplaneWhere()
+	where := dataplaneWhere()
 	q := histogram.NewQuery(where, histogram.DomainFromTable(tb, "Group"))
 	prev := dataset.ScanWorkers()
 	defer dataset.SetScanWorkers(prev)

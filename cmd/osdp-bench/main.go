@@ -3,32 +3,11 @@
 //
 // Usage:
 //
-//	osdp-bench [-exp all|table1|table2|fig1|fig2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|crossover|exclusion|ablations]
+//	osdp-bench [-exp all|table1|table2|fig1|fig2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|crossover|exclusion|ablations|extensions]
 //	           [-quick] [-seed N] [-trials N]
-//	osdp-bench -dataplane BENCH_dataplane.json [-quick]
-//	osdp-bench -ledger BENCH_ledger.json [-analysts N] [-quick]
 //	osdp-bench -workload BENCH_workload.json [-quick]
-//	osdp-bench -parallel BENCH_parallel.json [-workers N] [-quick]
-//	osdp-bench -metrics BENCH_metrics.json [-quick]
-//	osdp-bench -traffic BENCH_traffic.json [-quick]
 //
-// -quick shrinks the workloads for a fast smoke run; the default
-// configuration matches the scales recorded in EXPERIMENTS.md.
-//
-// -dataplane runs only the row-vs-columnar data-plane benchmark (the
-// serving hot path: filtered group-by count on a synthetic table, 1M
-// rows, or 100k with -quick) and writes the machine-readable result to
-// the given JSON file — the artifact CI tracks so the columnar speedup
-// cannot silently regress.
-//
-// -ledger runs only the privacy-budget control-plane benchmark (the
-// per-query charge path: in-memory, WAL, and WAL+fsync variants, with
-// allocations per charge, plus the group-commit sweep — the fsync'd
-// path at 1/8/64 concurrent analysts charging distinct accounts) and
-// writes the result to the given JSON file, the artifact CI tracks so
-// ledger overhead and the group-commit speedup cannot silently
-// regress. -analysts adds one more concurrency point to the sweep
-// (0, the default, keeps just 1/8/64).
+// -quick shrinks the workloads for a fast smoke run.
 //
 // -workload runs only the range-workload estimator benchmark (the
 // serving-side workload engine: per-estimator synopsis fit latency,
@@ -38,29 +17,8 @@
 // structure-exploiting estimators' range-workload advantage cannot
 // silently regress.
 //
-// -parallel runs only the parallel data-plane benchmark (the chunked
-// scan worker pool: serial vs -workers-way filtered group-by scan and
-// predicate selection on the 1M-row table, 256k with -quick) and
-// writes the result to the given JSON file, the artifact CI tracks so
-// the multi-core speedup cannot silently regress. The recorded speedup
-// is bounded by min(workers, CPUs) — on a single-core machine it is
-// ~1.0 by construction.
-//
-// -metrics runs only the telemetry-overhead benchmark (the full server
-// query path with a nil telemetry registry vs. a fully instrumented
-// one, 200k rows, 50k with -quick) and writes the result to the given
-// JSON file, the artifact CI tracks so instrumentation on the query hot
-// path stays effectively free (the PR 6 acceptance bar is <2%).
-//
-// -traffic runs only the closed-loop multi-tenant traffic harness (N
-// concurrent analysts driving the §7-style histogram/count/quantile/
-// workload mix through the admission layer's weighted-fair queue at
-// 1/8/64 analysts, plus one open-loop arrival point) and writes the
-// result to the given JSON file, the artifact CI tracks so per-analyst
-// tail latency and the Jain fairness index cannot silently regress.
-// Fairness at high analyst counts needs real parallelism to be
-// meaningful; on single-core machines the numbers are recorded but the
-// CI bar self-skips (same caveat as -parallel).
+// The server's speed is measured by the benchmark under bench/
+// (bash bench/run.sh), not by this command.
 package main
 
 import (
@@ -68,7 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -80,53 +37,11 @@ func main() {
 	quick := flag.Bool("quick", false, "use the reduced quick configuration")
 	seed := flag.Int64("seed", 0, "override the random seed (0 keeps the default)")
 	trials := flag.Int("trials", 0, "override the trial count (0 keeps the default)")
-	dataplane := flag.String("dataplane", "", "run the data-plane benchmark and write its JSON result to this file")
-	ledgerOut := flag.String("ledger", "", "run the budget-ledger benchmark and write its JSON result to this file")
-	analysts := flag.Int("analysts", 0, "extra concurrency point for the -ledger group-commit sweep (0 = just the default 1/8/64)")
 	workloadOut := flag.String("workload", "", "run the range-workload estimator benchmark and write its JSON result to this file")
-	parallelOut := flag.String("parallel", "", "run the parallel data-plane benchmark and write its JSON result to this file")
-	workers := flag.Int("workers", runtime.NumCPU(), "worker count for the -parallel benchmark")
-	metricsOut := flag.String("metrics", "", "run the telemetry-overhead benchmark and write its JSON result to this file")
-	trafficOut := flag.String("traffic", "", "run the multi-tenant traffic/fairness benchmark and write its JSON result to this file")
 	flag.Parse()
 
-	if *dataplane != "" {
-		if err := runDataplane(*dataplane, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *ledgerOut != "" {
-		if err := runLedger(*ledgerOut, *analysts, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *workloadOut != "" {
 		if err := runWorkloadBench(*workloadOut, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *parallelOut != "" {
-		if err := runParallelBench(*parallelOut, *workers, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *metricsOut != "" {
-		if err := runMetricsBench(*metricsOut, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *trafficOut != "" {
-		if err := runTrafficBench(*trafficOut, *quick); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -254,29 +169,6 @@ func main() {
 	}
 }
 
-// runDataplane measures the row vs columnar group-by throughput and
-// writes the result as JSON.
-func runDataplane(path string, quick bool) error {
-	rows, minDur := 1_000_000, 2*time.Second
-	if quick {
-		rows, minDur = 100_000, 300*time.Millisecond
-	}
-	res, err := experiments.MeasureDataplane(rows, 64, minDur)
-	if err != nil {
-		return fmt.Errorf("dataplane benchmark: %w", err)
-	}
-	fmt.Println(res.String())
-	body, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return fmt.Errorf("encoding %s: %w", path, err)
-	}
-	if err := os.WriteFile(path, append(body, '\n'), 0o644); err != nil {
-		return fmt.Errorf("writing %s: %w", path, err)
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
-}
-
 // runWorkloadBench measures the range-workload estimators and writes
 // the result as JSON.
 func runWorkloadBench(path string, quick bool) error {
@@ -287,115 +179,6 @@ func runWorkloadBench(path string, quick bool) error {
 	res, err := experiments.MeasureWorkload(rows, 1024, queries, 1.0)
 	if err != nil {
 		return fmt.Errorf("workload benchmark: %w", err)
-	}
-	fmt.Println(res.String())
-	body, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return fmt.Errorf("encoding %s: %w", path, err)
-	}
-	if err := os.WriteFile(path, append(body, '\n'), 0o644); err != nil {
-		return fmt.Errorf("writing %s: %w", path, err)
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
-}
-
-// runParallelBench measures the serial vs parallel scan and writes the
-// result as JSON.
-func runParallelBench(path string, workers int, quick bool) error {
-	rows, minDur := 1_000_000, 2*time.Second
-	if quick {
-		rows, minDur = 256_000, 300*time.Millisecond
-	}
-	res, err := experiments.MeasureParallel(rows, 64, workers, minDur)
-	if err != nil {
-		return fmt.Errorf("parallel benchmark: %w", err)
-	}
-	fmt.Println(res.String())
-	body, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return fmt.Errorf("encoding %s: %w", path, err)
-	}
-	if err := os.WriteFile(path, append(body, '\n'), 0o644); err != nil {
-		return fmt.Errorf("writing %s: %w", path, err)
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
-}
-
-// runMetricsBench measures the telemetry plane's query-path overhead
-// and writes the result as JSON.
-func runMetricsBench(path string, quick bool) error {
-	rows, minDur := 200_000, 1*time.Second
-	if quick {
-		rows, minDur = 50_000, 200*time.Millisecond
-	}
-	auditDir, err := os.MkdirTemp("", "osdp-bench-audit")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(auditDir)
-	res, err := experiments.MeasureTelemetryOverhead(rows, 64, minDur, auditDir)
-	if err != nil {
-		return fmt.Errorf("telemetry benchmark: %w", err)
-	}
-	fmt.Println(res.String())
-	body, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return fmt.Errorf("encoding %s: %w", path, err)
-	}
-	if err := os.WriteFile(path, append(body, '\n'), 0o644); err != nil {
-		return fmt.Errorf("writing %s: %w", path, err)
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
-}
-
-// runTrafficBench measures multi-tenant latency and fairness through
-// the admission layer and writes the result as JSON.
-func runTrafficBench(path string, quick bool) error {
-	opt := experiments.TrafficOptions{OpenLoopAnalysts: 8}
-	if quick {
-		opt = experiments.TrafficOptions{
-			Rows:             10_000,
-			AnalystCounts:    []int{1, 8},
-			PerPoint:         400 * time.Millisecond,
-			OpenLoopAnalysts: 2,
-			OpenLoopRate:     50,
-		}
-	}
-	res, err := experiments.MeasureTraffic(opt)
-	if err != nil {
-		return fmt.Errorf("traffic benchmark: %w", err)
-	}
-	fmt.Println(res.String())
-	body, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return fmt.Errorf("encoding %s: %w", path, err)
-	}
-	if err := os.WriteFile(path, append(body, '\n'), 0o644); err != nil {
-		return fmt.Errorf("writing %s: %w", path, err)
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
-}
-
-// runLedger measures the control-plane charge path (serial variants
-// plus the concurrent group-commit sweep) and writes the result as
-// JSON. extraAnalysts > 0 adds one more concurrency point.
-func runLedger(path string, extraAnalysts int, quick bool) error {
-	charges := 50_000
-	if quick {
-		charges = 5_000
-	}
-	dir, err := os.MkdirTemp("", "osdp-ledger-bench-*")
-	if err != nil {
-		return fmt.Errorf("ledger benchmark: %w", err)
-	}
-	defer os.RemoveAll(dir)
-	res, err := experiments.MeasureLedger(dir, charges, extraAnalysts)
-	if err != nil {
-		return fmt.Errorf("ledger benchmark: %w", err)
 	}
 	fmt.Println(res.String())
 	body, err := json.MarshalIndent(res, "", "  ")

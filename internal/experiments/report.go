@@ -1,12 +1,13 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§6) on the synthetic substrates, one runner per artifact.
 // Each runner returns a Report — the same rows/series the paper plots —
-// so the cmd/osdp-bench binary and the bench harness share output.
+// so the cmd/osdp-bench binary and the root bench_test.go share output.
 //
 // Absolute numbers differ from the paper (the substrates are simulators,
 // not the authors' testbed); the experiments are judged on shape: which
 // algorithm wins, by roughly what factor, and where the crossovers fall.
-// EXPERIMENTS.md records paper-vs-measured for each runner.
+// The package tests pin those shapes runner by runner (for example
+// TestTable1MatchesPaper and TestFigure4OSDPWinsAtPermissivePolicies).
 package experiments
 
 import (
