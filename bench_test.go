@@ -358,6 +358,29 @@ func BenchmarkServerHistogramQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkRegisterTable registers the 1M-row data-plane table (64-group
+// Group, Age 0..99 and a float Score with ~1M distinct values) under an
+// Age < 18 policy, the shape of bench/'s mix-1m. Each iteration registers
+// a fresh Clone (which shares the columns but not the split cache), so it
+// pays the policy partition, the capped distinct pass per attribute and
+// the bin-id vectors of the two small domains. The Score pass stops at
+// the 2^16 domain cap; its allocations stay O(cap), not O(rows).
+func BenchmarkRegisterTable(b *testing.B) {
+	tb := dataplaneBenchTable()
+	pol := dataset.NewPolicy("minors", dataset.Cmp("Age", dataset.OpLt, dataset.Int(18)))
+	srv := server.New(server.Config{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		t := tb.Clone()
+		b.StartTimer()
+		if err := srv.RegisterTable(fmt.Sprintf("d%d", i), t, pol); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestServerHistogramQueryAllocs pins the "no per-record allocation"
 // property of the serving path: allocations per histogram query must not
 // grow with the table (a per-record map would add one entry per matching

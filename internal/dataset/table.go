@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -614,24 +616,192 @@ func (t *Table) Multiset() map[string]int {
 // SortedKeys returns the distinct values of the named attribute in sorted
 // order; helper for building stable histogram domains from data. Values
 // are ordered by their TYPED comparison (so integer attributes sort 2
-// before 10, not lexicographically) and rendered as strings.
+// before 10, not lexicographically) and rendered as strings. It is
+// SortedKeysUpTo without a cap.
 func (t *Table) SortedKeys(name string) []string {
+	keys, _ := t.SortedKeysUpTo(name, math.MaxInt)
+	return keys
+}
+
+// SortedKeysUpTo is SortedKeys with a cap on the distinct count: ok is
+// false, and keys nil, as soon as the (max+1)-th distinct value appears,
+// before anything is sorted or rendered. So a column over the cap costs a
+// scan up to that value, not a sort of all its distinct values. max must
+// not be negative.
+//
+// Pure columns take one typed distinct pass per kind: ints and floats
+// collect a set of 64-bit keys, bools two flags, and strings a seen
+// vector over the dictionary. Only mixed-kind columns go through Values.
+func (t *Table) SortedKeysUpTo(name string, max int) (keys []string, ok bool) {
 	ci := t.schema.ColumnIndex(name)
 	if ci < 0 {
 		panic(fmt.Sprintf("dataset: unknown attribute %q", name))
 	}
-	if keys, ok := t.sortedKeysFast(ci); ok {
-		return keys
+	if max < 0 {
+		panic(fmt.Sprintf("dataset: negative distinct-key cap %d", max))
 	}
-	// Generic path: distinct by rendered string, ordered by typed value
-	// (ties broken by the rendering for a stable total order).
 	col := t.Base().cols[ci]
+	if !col.pure() {
+		return t.sortedKeysGeneric(col, max)
+	}
+	switch col.kind {
+	case KindInt:
+		vals, ok := distinctUpTo(col.ints, t.sel, t.nrows, max, func(v int64) int64 { return v })
+		if !ok {
+			return nil, false
+		}
+		slices.Sort(vals)
+		keys = make([]string, len(vals))
+		for i, v := range vals {
+			keys[i] = Int(v).AsString()
+		}
+		return keys, true
+	case KindFloat:
+		ords, ok := distinctUpTo(col.floats, t.sel, t.nrows, max, floatOrder)
+		if !ok {
+			return nil, false
+		}
+		slices.Sort(ords)
+		keys = make([]string, len(ords))
+		for i, o := range ords {
+			keys[i] = Float(floatFromOrder(o)).AsString()
+		}
+		return keys, true
+	case KindBool:
+		seen, ok := seenCodesUpTo(col.bools, t.sel, t.nrows, max, 2, func(b bool) int {
+			if b {
+				return 1
+			}
+			return 0
+		})
+		if !ok {
+			return nil, false
+		}
+		keys = make([]string, 0, 2)
+		for code, s := range seen {
+			if s {
+				keys = append(keys, Bool(code == 1).AsString())
+			}
+		}
+		return keys, true
+	default:
+		dict := col.dict.vals
+		seen, ok := seenCodesUpTo(col.codes, t.sel, t.nrows, max, len(dict), func(c uint32) int { return int(c) })
+		if !ok {
+			return nil, false
+		}
+		keys = make([]string, 0)
+		for code, s := range seen {
+			if s {
+				keys = append(keys, dict[code])
+			}
+		}
+		sort.Strings(keys)
+		return keys, true
+	}
+}
+
+// nanOrder is the one order key every NaN maps to. It is above the key
+// of +Inf, so NaN sorts last, as it does under the generic ordering
+// (NaN compares equal to every value there, and its rendering "NaN"
+// sorts after every other float's).
+const nanOrder = math.MaxUint64
+
+// floatOrder maps a float to a uint64 whose unsigned order is the typed
+// order of the generic path: -Inf < … < -0 < 0 < … < +Inf < NaN. It is
+// injective on non-NaN floats, which all render differently.
+func floatOrder(f float64) uint64 {
+	if f != f {
+		return nanOrder
+	}
+	b := math.Float64bits(f)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// floatFromOrder inverts floatOrder (to the canonical NaN for nanOrder).
+func floatFromOrder(o uint64) float64 {
+	switch {
+	case o == nanOrder:
+		return math.NaN()
+	case o>>63 != 0:
+		return math.Float64frombits(o &^ (1 << 63))
+	default:
+		return math.Float64frombits(^o)
+	}
+}
+
+// distinctUpTo returns the distinct keys of vals over a table's rows (the
+// view's sel, or the first n physical rows of a base table), in no
+// particular order; ok is false once more than max distinct keys appear.
+func distinctUpTo[V any, K comparable](vals []V, sel []int32, n, max int, key func(V) K) ([]K, bool) {
+	seen := make(map[K]struct{})
+	if sel != nil {
+		for _, p := range sel {
+			seen[key(vals[p])] = struct{}{}
+			if len(seen) > max {
+				return nil, false
+			}
+		}
+	} else {
+		for _, v := range vals[:n] {
+			seen[key(v)] = struct{}{}
+			if len(seen) > max {
+				return nil, false
+			}
+		}
+	}
+	out := make([]K, 0, len(seen))
+	for k := range seen {
+		out = append(out, k)
+	}
+	return out, true
+}
+
+// seenCodesUpTo is distinctUpTo for values with a dense code in
+// [0, ncodes): it marks the codes present; ok is false once more than
+// max codes are marked.
+func seenCodesUpTo[V any](vals []V, sel []int32, n, max, ncodes int, code func(V) int) ([]bool, bool) {
+	seen := make([]bool, ncodes)
+	count := 0
+	mark := func(c int) bool {
+		if !seen[c] {
+			seen[c] = true
+			count++
+		}
+		return count <= max
+	}
+	if sel != nil {
+		for _, p := range sel {
+			if !mark(code(vals[p])) {
+				return nil, false
+			}
+		}
+	} else {
+		for _, v := range vals[:n] {
+			if !mark(code(v)) {
+				return nil, false
+			}
+		}
+	}
+	return seen, true
+}
+
+// sortedKeysGeneric serves mixed-kind columns: distinct by rendered
+// string, ordered by typed value (ties broken by the rendering for a
+// stable total order).
+func (t *Table) sortedKeysGeneric(col *column, max int) ([]string, bool) {
 	distinct := make(map[string]Value)
 	n := t.Len()
 	for i := 0; i < n; i++ {
 		v := col.value(t.physRow(i))
 		s := v.AsString()
 		if _, ok := distinct[s]; !ok {
+			if len(distinct) == max {
+				return nil, false
+			}
 			distinct[s] = v
 		}
 	}
@@ -646,54 +816,5 @@ func (t *Table) SortedKeys(name string) []string {
 		}
 		return keys[i] < keys[j]
 	})
-	return keys
-}
-
-// sortedKeysFast handles pure int and string columns without building
-// Values: distinct int64s sort numerically, dictionary entries sort
-// lexicographically.
-func (t *Table) sortedKeysFast(ci int) ([]string, bool) {
-	if ints, ok := t.ColumnInts(ci); ok {
-		distinct := make(map[int64]struct{})
-		if t.sel != nil {
-			for _, p := range t.sel {
-				distinct[ints[p]] = struct{}{}
-			}
-		} else {
-			for _, v := range ints[:t.nrows] {
-				distinct[v] = struct{}{}
-			}
-		}
-		vals := make([]int64, 0, len(distinct))
-		for v := range distinct {
-			vals = append(vals, v)
-		}
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-		keys := make([]string, len(vals))
-		for i, v := range vals {
-			keys[i] = Int(v).AsString()
-		}
-		return keys, true
-	}
-	if codes, dict, ok := t.ColumnStrings(ci); ok {
-		seen := make([]bool, len(dict))
-		if t.sel != nil {
-			for _, p := range t.sel {
-				seen[codes[p]] = true
-			}
-		} else {
-			for _, c := range codes[:t.nrows] {
-				seen[c] = true
-			}
-		}
-		keys := make([]string, 0)
-		for code, s := range seen {
-			if s {
-				keys = append(keys, dict[code])
-			}
-		}
-		sort.Strings(keys)
-		return keys, true
-	}
-	return nil, false
+	return keys, true
 }

@@ -55,7 +55,7 @@ const maxDerivedDomainKeys = 1 << 16
 // locks.
 type artifacts struct {
 	derived   map[string]*histogram.Domain // attr -> domain derived from ns values
-	oversized map[string]int               // attr -> distinct count, above the precompute cap
+	oversized map[string]struct{}          // attrs above the precompute cap
 	domains   *lru[*histogram.Domain]      // spec-keyed explicit domains
 	preds     *lru[dataset.Predicate]      // spec-keyed compiled predicates
 }
@@ -67,23 +67,26 @@ type artifacts struct {
 func newArtifacts(table, ns *dataset.Table, met *serverMetrics) *artifacts {
 	a := &artifacts{
 		derived:   make(map[string]*histogram.Domain),
-		oversized: make(map[string]int),
+		oversized: make(map[string]struct{}),
 		domains:   newLRU[*histogram.Domain](domainCacheSize),
 		preds:     newLRU[dataset.Predicate](predCacheSize),
 	}
 	a.domains.hits, a.domains.misses = met.cacheCounters("domain")
 	a.preds.hits, a.preds.misses = met.cacheCounters("predicate")
 	for _, attr := range table.Schema().Names() {
-		d := histogram.DomainFromTable(ns, attr)
+		// The distinct pass stops at the (cap+1)-th value, so an
+		// oversized attribute costs O(cap), not a sort of its column.
+		keys, ok := ns.SortedKeysUpTo(attr, maxDerivedDomainKeys)
 		switch {
-		case d.Size() == 0:
-			// Empty derived domains stay unlisted; the per-query path
-			// reports them precisely.
-		case d.Size() > maxDerivedDomainKeys:
+		case !ok:
 			// Too many distinct values to pin; remembered so queries
 			// against it are rejected in O(1), not re-derived.
-			a.oversized[attr] = d.Size()
+			a.oversized[attr] = struct{}{}
+		case len(keys) == 0:
+			// Empty derived domains stay unlisted; the per-query path
+			// reports them precisely.
 		default:
+			d := histogram.NewCategoricalDomain(attr, keys)
 			d.Precompute(table)
 			a.derived[attr] = d
 		}
@@ -103,9 +106,9 @@ func (a *artifacts) domain(spec DomainSpec, ns *dataset.Table) (*histogram.Domai
 		// re-derived per query: rebuilding >64k distinct values on
 		// every request would hand an unauthenticated client a
 		// CPU/allocation amplifier.
-		if size, ok := a.oversized[spec.Attr]; ok {
-			return nil, fmt.Errorf("derived domain over %q has %d distinct values, cap is %d; declare keys or buckets explicitly",
-				spec.Attr, size, maxDerivedDomainKeys)
+		if _, ok := a.oversized[spec.Attr]; ok {
+			return nil, fmt.Errorf("derived domain over %q has more than %d distinct values; declare keys or buckets explicitly",
+				spec.Attr, maxDerivedDomainKeys)
 		}
 		// Unknown attribute or empty derived domain: compileDomain
 		// produces the precise error.

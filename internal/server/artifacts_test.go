@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -111,36 +112,84 @@ func TestArtifactsDomainAndPredicateCaches(t *testing.T) {
 }
 
 // Derived domains over high-cardinality attributes are rejected in O(1)
-// with a actionable error, not re-derived per query.
+// with an actionable error, not re-derived per query. The cap counts the
+// NON-SENSITIVE partition, so an attribute over the cap in the whole table
+// but within it among non-sensitive rows is still derived and served.
 func TestOversizedDerivedDomainRejected(t *testing.T) {
-	s := New(Config{})
+	s := New(Config{AllowSeededSessions: true})
 	schema := dataset.NewSchema(
 		dataset.Field{Name: "ID", Kind: dataset.KindInt},
+		dataset.Field{Name: "Score", Kind: dataset.KindFloat},
+		dataset.Field{Name: "Name", Kind: dataset.KindString},
 		dataset.Field{Name: "City", Kind: dataset.KindString},
 	)
 	tb := dataset.NewTable(schema)
 	for i := 0; i < maxDerivedDomainKeys+10; i++ {
-		tb.AppendValues(dataset.Int(int64(i)), dataset.Str("x"))
+		tb.AppendValues(dataset.Int(int64(i)), dataset.Float(float64(i)/3), dataset.Str(fmt.Sprintf("n%d", i)), dataset.Str("x"))
 	}
 	if err := s.RegisterTable("big", tb, dataset.AllNonSensitive()); err != nil {
 		t.Fatal(err)
 	}
-	s.mu.Lock()
-	d := s.datasets["big"]
-	s.mu.Unlock()
-	if _, ok := d.art.derived["ID"]; ok {
-		t.Fatal("high-cardinality attribute was pinned at registration")
-	}
-	if _, ok := d.art.oversized["ID"]; !ok {
-		t.Fatal("high-cardinality attribute not recorded as oversized")
-	}
-	if _, err := d.art.domain(DomainSpec{Attr: "ID"}, d.ns); err == nil {
-		t.Error("oversized derived domain accepted")
+	d := registeredDataset(s, "big")
+	for _, attr := range []string{"ID", "Score", "Name"} {
+		if _, ok := d.art.derived[attr]; ok {
+			t.Errorf("high-cardinality %s was pinned at registration", attr)
+		}
+		if _, ok := d.art.oversized[attr]; !ok {
+			t.Errorf("high-cardinality %s not recorded as oversized", attr)
+		}
+		_, err := d.art.domain(DomainSpec{Attr: attr}, d.ns)
+		if err == nil {
+			t.Errorf("oversized derived domain over %s accepted", attr)
+			continue
+		}
+		for _, want := range []string{"more than 65536 distinct values", "declare keys or buckets"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s rejection %q does not say %q", attr, err, want)
+			}
+		}
 	}
 	// The low-cardinality attribute still works.
 	if _, err := d.art.domain(DomainSpec{Attr: "City"}, d.ns); err != nil {
 		t.Errorf("small derived domain rejected: %v", err)
 	}
+
+	// Rows with ID >= 2^16 are sensitive, so exactly 2^16 IDs are
+	// non-sensitive: at the cap, not above it.
+	pol := dataset.NewPolicy("tail", dataset.Cmp("ID", dataset.OpGe, dataset.Int(maxDerivedDomainKeys)))
+	if err := s.RegisterTable("split", tb, pol); err != nil {
+		t.Fatal(err)
+	}
+	d = registeredDataset(s, "split")
+	if _, ok := d.art.oversized["ID"]; ok {
+		t.Fatal("cap counted sensitive rows: ID marked oversized")
+	}
+	dom, err := d.art.domain(DomainSpec{Attr: "ID"}, d.ns)
+	if err != nil {
+		t.Fatalf("derived domain within the non-sensitive cap rejected: %v", err)
+	}
+	if dom.Size() != maxDerivedDomainKeys {
+		t.Errorf("derived ID domain has %d keys, want %d", dom.Size(), maxDerivedDomainKeys)
+	}
+	seed := int64(3)
+	si, err := s.OpenSession("", OpenSessionRequest{Dataset: "split", Budget: 0, Seed: &seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := s.Query("", si.ID, QueryRequest{Kind: KindHistogram, Eps: 1, Dims: []DomainSpec{{Attr: "ID"}}})
+	if err != nil {
+		t.Fatalf("histogram over the derived ID domain: %v", err)
+	}
+	n := maxDerivedDomainKeys
+	if len(resp.Counts) != n || len(resp.Labels) != n || resp.Labels[n-1] != fmt.Sprint(n-1) {
+		t.Errorf("served %d counts and %d labels, want %d ending at %d", len(resp.Counts), len(resp.Labels), n, n-1)
+	}
+}
+
+func registeredDataset(s *Server, name string) *ds {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.datasets[name]
 }
 
 func TestLRUEviction(t *testing.T) {

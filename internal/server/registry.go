@@ -261,14 +261,22 @@ func (s *Server) RegisterTable(name string, t *dataset.Table, p dataset.Policy) 
 	if !validName(name) {
 		return badf("dataset name %q must be non-empty [A-Za-z0-9._-]+ (it becomes a URL path segment)", name)
 	}
+	// A taken name fails before the O(rows) precompute; the recheck
+	// under the lock below settles racing registrations.
+	s.mu.Lock()
+	_, taken := s.datasets[name]
+	s.mu.Unlock()
+	if taken {
+		return fmt.Errorf("%w: dataset %q already registered", ErrConflict, name)
+	}
 	// Precompute the serving artifacts outside the lock: the policy
 	// partition (bitsets cached on the table, shared by every session),
 	// and per-attribute derived domains with their bin-id vectors. See
 	// the artifacts type for the full caching contract. On large tables
-	// both passes shard across the dataset scan worker pool
-	// (dataset.SetScanWorkers; cmd/osdp-server exposes -scan-workers),
-	// so registration-time precompute uses every core the operator
-	// granted.
+	// the partition and the bin-id vectors shard across the dataset scan
+	// worker pool (dataset.SetScanWorkers; cmd/osdp-server exposes
+	// -scan-workers); the distinct pass that derives each domain is
+	// serial and stops at the domain cap.
 	_, ns := t.Split(p)
 	art := newArtifacts(t, ns, s.met)
 	s.mu.Lock()

@@ -463,14 +463,14 @@ func compileDomain(spec DomainSpec, t *dataset.Table) (*histogram.Domain, error)
 		if numericFields {
 			return nil, fmt.Errorf("numeric domain over %q needs bins > 0 (lo/width alone is not a shape)", spec.Attr)
 		}
-		d := histogram.DomainFromTable(t, spec.Attr)
-		if d.Size() == 0 {
+		keys, ok := t.SortedKeysUpTo(spec.Attr, MaxQueryBins)
+		if !ok {
+			return nil, fmt.Errorf("derived domain over %q has more than %d distinct values; declare keys or buckets explicitly", spec.Attr, MaxQueryBins)
+		}
+		if len(keys) == 0 {
 			return nil, fmt.Errorf("no non-sensitive values to derive a domain for %q; declare keys or buckets explicitly", spec.Attr)
 		}
-		if d.Size() > MaxQueryBins {
-			return nil, fmt.Errorf("derived domain over %q has %d bins, cap is %d", spec.Attr, d.Size(), MaxQueryBins)
-		}
-		return d, nil
+		return histogram.NewCategoricalDomain(spec.Attr, keys), nil
 	}
 }
 
