@@ -86,15 +86,16 @@ func (m *RR) InverseProbabilityScale() float64 {
 // independently with probability 1 − e^(−ε), i.e. each bin becomes
 // Binomial(xns_i, 1 − e^(−ε)). This is "running the query on the sample of
 // non-sensitive records output by OsdpRR" (§5.1) and satisfies (P, ε)-OSDP
-// because it is post-processing of the OsdpRR release.
+// because it is post-processing of the OsdpRR release. Each bin is the
+// number of records rrKeep keeps out of xns_i, so the draw is exact at
+// every bin size.
 func RRSampleHistogram(xns *histogram.Histogram, eps float64, src noise.Source) *histogram.Histogram {
 	if eps <= 0 {
 		panic("core: RRSampleHistogram requires eps > 0")
 	}
-	keep := noise.KeepProbability(eps)
 	out := histogram.New(xns.Bins())
 	for i := 0; i < xns.Bins(); i++ {
-		out.SetCount(i, float64(noise.Binomial(src, int(xns.Count(i)), keep)))
+		out.SetCount(i, float64(len(rrKeep(int(xns.Count(i)), eps, src))))
 	}
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"osdp/internal/dataset"
+	"osdp/internal/histogram"
 	"osdp/internal/noise"
 )
 
@@ -234,5 +235,28 @@ func TestRRInvariantsQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// RRSampleHistogram is exactly OsdpRR bin by bin: each bin is the number
+// of records the keep loop keeps, at every bin size, including bins whose
+// variance n·p·(1−p) is far above 100.
+func TestRRSampleHistogramIsKeepLoopCount(t *testing.T) {
+	const eps = 1.0
+	counts := []float64{0, 1, 3, 40, 5000, 100000}
+	p := noise.KeepProbability(eps)
+	if v := counts[len(counts)-1] * p * (1 - p); v <= 100 {
+		t.Fatalf("largest bin variance %.1f, want > 100", v)
+	}
+	x := histogram.New(len(counts))
+	for i, c := range counts {
+		x.SetCount(i, c)
+	}
+	got := RRSampleHistogram(x, eps, noise.NewSource(11))
+	src := noise.NewSource(11)
+	for i, c := range counts {
+		if want := float64(len(rrKeep(int(c), eps, src))); got.Count(i) != want {
+			t.Errorf("bin %d (n=%v): %v, want the keep loop's %v", i, c, got.Count(i), want)
+		}
 	}
 }

@@ -202,7 +202,8 @@ func (s *Session) Count(pred dataset.Predicate, eps float64, trace ...TraceHook)
 // OsdpRR sample at privacy level eps and returning the sample quantile —
 // post-processing of the release, so the whole call costs exactly eps.
 // It fails when the (random) sample is empty; callers should retry with a
-// fresh budget slice or a larger eps.
+// fresh budget slice or a larger eps. An unknown or non-numeric attr
+// fails before anything is charged.
 //
 // The ε charge is consumed even when the sample comes up empty. This is
 // deliberate, not a bug: the keep draws ARE the OsdpRR mechanism
@@ -218,6 +219,9 @@ func (s *Session) Quantile(attr string, q, eps float64, trace ...TraceHook) (flo
 	ci := s.ns.Schema().ColumnIndex(attr)
 	if ci < 0 {
 		return 0, fmt.Errorf("core: quantile of unknown attribute %q", attr)
+	}
+	if kind, _ := s.ns.Schema().KindOf(attr); kind != dataset.KindInt && kind != dataset.KindFloat {
+		return 0, fmt.Errorf("core: quantile needs a numeric attribute; %q is %s", attr, kind)
 	}
 	if err := s.charge(eps); err != nil {
 		return 0, fmt.Errorf("core: quantile rejected: %w", err)
@@ -241,8 +245,8 @@ func (s *Session) Quantile(attr string, q, eps float64, trace ...TraceHook) (flo
 }
 
 // keptFloats reads column ci of every record of rel as a float64,
-// straight from the typed int or float vector; only a column holding
-// mixed-kind values goes through Value.AsFloat.
+// straight from the typed int or float vector. The column must be
+// numeric (Quantile checks before it charges).
 func keptFloats(rel *dataset.Table, ci int) []float64 {
 	sel := rel.Selection()
 	out := make([]float64, rel.Len())
@@ -256,13 +260,10 @@ func keptFloats(rel *dataset.Table, ci int) []float64 {
 		for i := range out {
 			out[i] = float64(ints[row(i)])
 		}
-	} else if floats, ok := rel.ColumnFloats(ci); ok {
+	} else {
+		floats, _ := rel.ColumnFloats(ci)
 		for i := range out {
 			out[i] = floats[row(i)]
-		}
-	} else {
-		for i := range out {
-			out[i] = rel.Record(i).At(ci).AsFloat()
 		}
 	}
 	return out

@@ -82,3 +82,30 @@ func TestQuantileRejectedWhenBudgetExhausted(t *testing.T) {
 		t.Fatalf("Spent() = %g after rejected charge, want 0.8", got)
 	}
 }
+
+// TestQuantileNonNumericRejectedBeforeCharge: a quantile over a bool or
+// string attribute is an error, and like every rejected request it
+// leaves the budget untouched.
+func TestQuantileNonNumericRejectedBeforeCharge(t *testing.T) {
+	schema := dataset.NewSchema(
+		dataset.Field{Name: "X", Kind: dataset.KindInt},
+		dataset.Field{Name: "B", Kind: dataset.KindBool},
+		dataset.Field{Name: "S", Kind: dataset.KindString},
+	)
+	tab := dataset.NewTable(schema)
+	for i := 0; i < 20; i++ {
+		tab.AppendValues(dataset.Int(int64(i)), dataset.Bool(i%2 == 0), dataset.Str("7"))
+	}
+	sess := NewSession(tab, dataset.AllNonSensitive(), 2.0, noise.NewSource(3))
+	for _, attr := range []string{"B", "S"} {
+		if v, err := sess.Quantile(attr, 0.5, 0.5); err == nil || !strings.Contains(err.Error(), "numeric") {
+			t.Errorf("Quantile(%q) = %v, %v; want a non-numeric attribute error", attr, v, err)
+		}
+	}
+	if got := sess.Spent(); got != 0 {
+		t.Fatalf("Spent() = %g after rejected quantiles, want 0", got)
+	}
+	if _, err := sess.Quantile("X", 0.5, 0.5); err != nil {
+		t.Fatalf("numeric quantile failed: %v", err)
+	}
+}

@@ -42,11 +42,9 @@ func (d *stringDict) clone() *stringDict {
 }
 
 // column is one attribute's typed vector. Exactly one of the storage
-// slices is populated, selected by kind. Values whose dynamic kind
-// disagrees with the declared column kind (the row API never forbade
-// that) are stored coerced in the typed vector AND verbatim in exc, so
-// reads reproduce the original Value exactly; vectorized evaluation
-// checks len(exc) and falls back to the row path when any exist.
+// slices is populated, selected by kind. Every stored value has the
+// column's kind: Table.Append rejects a value of another kind, so reads
+// and vectorized evaluation work on the typed slice alone.
 type column struct {
 	kind   Kind
 	ints   []int64
@@ -54,7 +52,6 @@ type column struct {
 	bools  []bool
 	codes  []uint32
 	dict   *stringDict
-	exc    map[int]Value // physical row -> original mixed-kind value
 }
 
 func newColumn(kind Kind) *column {
@@ -65,33 +62,22 @@ func newColumn(kind Kind) *column {
 	return c
 }
 
-// appendValue appends v at physical row i (the current length).
-func (c *column) appendValue(i int, v Value) {
-	if v.kind != c.kind {
-		if c.exc == nil {
-			c.exc = make(map[int]Value)
-		}
-		c.exc[i] = v
-	}
+// appendValue appends v, which must have the column's kind.
+func (c *column) appendValue(v Value) {
 	switch c.kind {
 	case KindInt:
-		c.ints = append(c.ints, v.AsInt())
+		c.ints = append(c.ints, v.i)
 	case KindFloat:
-		c.floats = append(c.floats, v.AsFloat())
+		c.floats = append(c.floats, v.f)
 	case KindBool:
-		c.bools = append(c.bools, v.AsBool())
+		c.bools = append(c.bools, v.b)
 	default:
-		c.codes = append(c.codes, c.dict.code(v.AsString()))
+		c.codes = append(c.codes, c.dict.code(v.s))
 	}
 }
 
 // value reconstructs the Value stored at physical row i.
 func (c *column) value(i int) Value {
-	if len(c.exc) != 0 {
-		if v, ok := c.exc[i]; ok {
-			return v
-		}
-	}
 	switch c.kind {
 	case KindInt:
 		return Int(c.ints[i])
@@ -104,14 +90,9 @@ func (c *column) value(i int) Value {
 	}
 }
 
-// pure reports whether every stored value has the declared kind, the
-// precondition for vectorized evaluation over the typed slices.
-func (c *column) pure() bool { return len(c.exc) == 0 }
-
 // clone returns a column whose typed vector shares the backing array
 // read-only (full-capacity slicing forces copy-on-append) but owns its
-// dictionary and exception map, so appends to either table never corrupt
-// the other.
+// dictionary, so appends to either table never corrupt the other.
 func (c *column) clone() *column {
 	out := &column{kind: c.kind}
 	switch c.kind {
@@ -125,20 +106,14 @@ func (c *column) clone() *column {
 		out.codes = c.codes[:len(c.codes):len(c.codes)]
 		out.dict = c.dict.clone()
 	}
-	if len(c.exc) != 0 {
-		out.exc = make(map[int]Value, len(c.exc))
-		for k, v := range c.exc {
-			out.exc[k] = v
-		}
-	}
 	return out
 }
 
 // gather materializes the subset of rows named by sel into a fresh column.
 func (c *column) gather(sel []int32) *column {
 	out := newColumn(c.kind)
-	for i, p := range sel {
-		out.appendValue(i, c.value(int(p)))
+	for _, p := range sel {
+		out.appendValue(c.value(int(p)))
 	}
 	return out
 }

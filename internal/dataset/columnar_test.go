@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -160,32 +161,81 @@ func TestNestedViews(t *testing.T) {
 	}
 }
 
-// Mixed-kind values (the row API never forbade storing a Value whose kind
-// disagrees with the schema column) must read back verbatim and keep
-// predicate evaluation on the row-exact path.
-func TestMixedKindColumnRoundTrip(t *testing.T) {
-	s := NewSchema(Field{"X", KindInt})
-	tb := NewTable(s)
-	tb.AppendValues(Int(7))
-	tb.AppendValues(Str("seven")) // kind mismatch, stored as exception
-	tb.AppendValues(Int(8))
+// Append rejects a standalone record holding a value whose kind differs
+// from its attribute's, before changing anything: the table, its split
+// cache and any view over it are left as they were. Row views need no
+// check, since the table they read from holds declared kinds only.
+func TestAppendRejectsMismatchedKind(t *testing.T) {
+	kinds := []Kind{KindInt, KindFloat, KindString, KindBool}
+	sample := map[Kind]Value{KindInt: Int(7), KindFloat: Float(0.5), KindString: Str("7"), KindBool: Bool(true)}
+	mustPanic := func(t *testing.T, wantParts []string, f func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			r := recover()
+			msg, _ := r.(string)
+			if r == nil {
+				t.Fatal("Append accepted a value of another kind")
+			}
+			for _, part := range wantParts {
+				if !strings.Contains(msg, part) {
+					t.Errorf("panic %q does not name %q", msg, part)
+				}
+			}
+		}()
+		f()
+	}
+	for _, colKind := range kinds {
+		for _, valKind := range kinds {
+			if colKind == valKind {
+				continue
+			}
+			t.Run(colKind.String()+"/"+valKind.String(), func(t *testing.T) {
+				s := NewSchema(Field{"Other", KindInt}, Field{"Col", colKind})
+				tb := NewTable(s)
+				tb.AppendValues(Int(1), sample[colKind])
+				tb.AppendValues(Int(2), sample[colKind])
+				want := orderedKeys(tb)
+				sens, _ := tb.SplitBits(NewPolicy("one", Cmp("Other", OpEq, Int(1))))
+				view := tb.Take([]int32{1})
 
-	if got := tb.Record(1).Get("X"); got.Kind() != KindString || got.AsString() != "seven" {
-		t.Errorf("mixed-kind value read back as %v %q", got.Kind(), got.AsString())
-	}
-	if got := tb.Record(0).Get("X").AsInt(); got != 7 {
-		t.Errorf("typed value read back as %d", got)
-	}
-	// Vectorized Count must agree with per-record evaluation.
-	pred := Cmp("X", OpGe, Int(7))
-	want := 0
-	for _, r := range tb.Records() {
-		if pred.Eval(r) {
-			want++
+				// The good first record must not land either.
+				good := NewRecord(s, Int(3), sample[colKind])
+				bad := NewRecord(s, Int(4), sample[valKind])
+				wantParts := []string{`"Col"`, colKind.String(), valKind.String()}
+				mustPanic(t, wantParts, func() { tb.Append(good, bad) })
+				mustPanic(t, wantParts, func() { view.Append(good, bad) })
+
+				if got := orderedKeys(tb); !sameKeys(got, want) {
+					t.Errorf("table after rejected Append = %q, want %q", got, want)
+				}
+				if again, _ := tb.SplitBits(NewPolicy("one", Cmp("Other", OpEq, Int(1)))); again != sens {
+					t.Error("rejected Append dropped the split cache")
+				}
+				if view.Base() != tb || view.Len() != 1 || view.Record(0).Key() != want[1] {
+					t.Errorf("rejected Append changed the view: base %p (table %p), %d rows", view.Base(), tb, view.Len())
+				}
+			})
 		}
 	}
-	if got := tb.Count(pred); got != want {
-		t.Errorf("Count = %d, per-record reference = %d", got, want)
+
+	// Row views, from this table, a view of it or another table of the
+	// same schema, are accepted as they are.
+	s := NewSchema(Field{"X", KindInt}, Field{"S", KindString})
+	src := NewTable(s)
+	src.AppendValues(Int(1), Str("a"))
+	src.AppendValues(Int(2), Str("b"))
+	dst := NewTable(s)
+	dst.Append(src.Records()...)
+	dst.Append(src.Take([]int32{1}).Record(0))
+	dst.Append(dst.Record(0))
+	if dst.Len() != 4 {
+		t.Fatalf("row-view appends kept %d of 4 records", dst.Len())
+	}
+	for i, want := range []string{"a", "b", "b", "a"} {
+		if got := dst.Record(i).Get("S"); got.Kind() != KindString || got.AsString() != want {
+			t.Errorf("row %d S = %v %q, want string %q", i, got.Kind(), got.AsString(), want)
+		}
 	}
 }
 

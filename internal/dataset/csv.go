@@ -17,7 +17,10 @@ import (
 //	alice,34,true
 //
 // Values that fail to parse under the declared kind are an error, keeping
-// silent data corruption out of privacy-sensitive pipelines.
+// silent data corruption out of privacy-sensitive pipelines. Int, float
+// and bool cells may be padded with space. String cells are kept as
+// encoding/csv returns them: a quoted cell verbatim, an unquoted one
+// without its leading space.
 func ReadCSV(r io.Reader) (*Table, error) {
 	cr := csv.NewReader(r)
 	cr.TrimLeadingSpace = true
@@ -79,7 +82,13 @@ func ReadCSV(r io.Reader) (*Table, error) {
 	return table, nil
 }
 
+// parseValue parses one cell under its declared kind. String cells are
+// taken verbatim, so padded strings survive a WriteCSV/ReadCSV round
+// trip; the others are trimmed of surrounding space first.
 func parseValue(cell string, kind Kind) (Value, error) {
+	if kind == KindString {
+		return Str(cell), nil
+	}
 	cell = strings.TrimSpace(cell)
 	switch kind {
 	case KindInt:
@@ -94,29 +103,28 @@ func parseValue(cell string, kind Kind) (Value, error) {
 			return Value{}, fmt.Errorf("parsing %q as float: %w", cell, err)
 		}
 		return Float(f), nil
-	case KindBool:
+	default: // KindBool
 		b, err := strconv.ParseBool(cell)
 		if err != nil {
 			return Value{}, fmt.Errorf("parsing %q as bool: %w", cell, err)
 		}
 		return Bool(b), nil
-	default:
-		return Str(cell), nil
 	}
 }
 
 // WriteCSV writes the table in the format ReadCSV accepts, including the
 // typed header; round-tripping a table through WriteCSV/ReadCSV
-// preserves schema and values. The bytes are those of an encoding/csv
+// preserves schema and values, padded and empty strings included, since
+// ReadCSV reads string cells verbatim. The one exception is encoding/csv's
+// own: a "\r\n" inside a string cell reads back as "\n". The bytes are those of an encoding/csv
 // Writer fed each record's At(i).AsString() cells, except that a
 // single-column record whose cell renders empty is written as `""`
 // rather than as a blank line, which CSV readers skip.
 //
 // The encoder is columnar: ints, floats and bools append straight into
 // a byte buffer (strconv.Append*, which never yield a cell that needs
-// quoting), each dictionary string is quoted by encoding/csv's rules
-// once per dictionary entry, and only mixed-kind exception cells go
-// through Value.AsString.
+// quoting), and each dictionary string is quoted by encoding/csv's
+// rules once per dictionary entry.
 func WriteCSV(w io.Writer, t *Table) error {
 	s := t.Schema()
 	q := newCSVQuoter()
@@ -197,11 +205,6 @@ type csvColumn struct {
 
 // appendCell appends the CSV field of physical row r.
 func (c *csvColumn) appendCell(b []byte, r int, q *csvQuoter) []byte {
-	if len(c.exc) != 0 {
-		if v, ok := c.exc[r]; ok {
-			return append(b, q.field(v.AsString())...)
-		}
-	}
 	switch c.kind {
 	case KindInt:
 		return strconv.AppendInt(b, c.ints[r], 10)

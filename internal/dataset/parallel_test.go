@@ -114,8 +114,8 @@ func TestSetScanWorkersClamps(t *testing.T) {
 
 // TestParallelSelectDifferential pins the tentpole guarantee: Select and
 // SplitBits produce BIT-IDENTICAL results under every worker count, on
-// multi-chunk tables, over fuzzed predicates — including mixed-kind
-// cells and opaque-free trees of every comparison shape.
+// multi-chunk tables, over fuzzed predicates — opaque-free trees of
+// every comparison shape, against values of every kind.
 func TestParallelSelectDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-chunk differential tables are slow to build")

@@ -174,21 +174,6 @@ func evalCmpPhysical(b *Table, q cmpPredicate) *Bitset {
 		panic("dataset: unknown attribute \"" + q.attr + "\"")
 	}
 	col := b.cols[ci]
-	if !col.pure() {
-		// Mixed-kind column: per-row Value comparison, but still a pure
-		// read of the column store, so the loop can chunk like the
-		// vectorized ones (unlike opaque FuncPredicates, which stay
-		// serial in evalGenericPhysical).
-		out := NewBitset(b.nrows)
-		ParallelRows(b.nrows, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if q.Eval(Record{schema: b.schema, tab: b, row: i}) {
-					out.set(i)
-				}
-			}
-		})
-		return out
-	}
 	n := b.nrows
 	switch col.kind {
 	case KindInt:

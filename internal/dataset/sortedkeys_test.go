@@ -9,9 +9,9 @@ import (
 )
 
 // genericSortedKeys is the Value loop every float and bool column took
-// before the typed distinct pass (mixed-kind columns still take it):
-// distinct by rendering, ordered by Value.Compare, ties broken by the
-// rendering. It is the oracle of TestSortedKeysTypedMatchesGeneric.
+// before the typed distinct pass: distinct by rendering, ordered by
+// Value.Compare, ties broken by the rendering. It is the oracle of
+// TestSortedKeysTypedMatchesGeneric.
 func genericSortedKeys(t *Table, name string) []string {
 	col := t.Base().cols[t.schema.ColumnIndex(name)]
 	distinct := make(map[string]Value)
@@ -64,7 +64,7 @@ func assertSortedKeysMatch(t *testing.T, label string, tb *Table) {
 }
 
 // The typed distinct pass is byte-identical to the generic loop on every
-// pure column kind, on base tables and views, and on the float values
+// column kind, on base tables and views, and on the float values
 // whose order or rendering is special.
 func TestSortedKeysTypedMatchesGeneric(t *testing.T) {
 	negZero := math.Copysign(0, -1)
@@ -127,19 +127,6 @@ func TestSortedKeysTypedMatchesGeneric(t *testing.T) {
 	if i, j := slices.Index(keys, "-0"), slices.Index(keys, "0"); i < 0 || j != i+1 {
 		t.Errorf("-0 (at %d) does not sort just before 0 (at %d)", i, j)
 	}
-
-	// Mixed-kind columns keep the generic loop, with the same early stop.
-	mixed := NewTable(NewSchema(
-		Field{Name: "I", Kind: KindInt},
-		Field{Name: "F", Kind: KindFloat},
-	))
-	mixed.AppendValues(Int(1), Float(0.5))
-	mixed.AppendValues(Str("x"), Int(5))
-	mixed.AppendValues(Float(2.5), Float(math.NaN()))
-	mixed.AppendValues(Int(1), Str(""))
-	mixed.AppendValues(Bool(true), Float(negZero))
-	assertSortedKeysMatch(t, "mixed", mixed)
-	assertSortedKeysMatch(t, "mixed Take", mixed.Take([]int32{1, 3, 4}))
 }
 
 // Int columns sort numerically over the whole int64 range, where the

@@ -225,11 +225,10 @@ func (t *Table) physRow(i int) int {
 
 // ColumnInts returns the int64 vector backing column i of the base
 // storage, indexed by PHYSICAL row (combine with Selection on views).
-// ok is false when the column is not a purely int-typed vector; callers
-// must then fall back to the Record API.
+// ok is false only when column i is of another kind.
 func (t *Table) ColumnInts(i int) ([]int64, bool) {
 	c := t.Base().cols[i]
-	if c.kind != KindInt || !c.pure() {
+	if c.kind != KindInt {
 		return nil, false
 	}
 	return c.ints, true
@@ -238,7 +237,7 @@ func (t *Table) ColumnInts(i int) ([]int64, bool) {
 // ColumnFloats is ColumnInts for float64 columns.
 func (t *Table) ColumnFloats(i int) ([]float64, bool) {
 	c := t.Base().cols[i]
-	if c.kind != KindFloat || !c.pure() {
+	if c.kind != KindFloat {
 		return nil, false
 	}
 	return c.floats, true
@@ -247,7 +246,7 @@ func (t *Table) ColumnFloats(i int) ([]float64, bool) {
 // ColumnBools is ColumnInts for bool columns.
 func (t *Table) ColumnBools(i int) ([]bool, bool) {
 	c := t.Base().cols[i]
-	if c.kind != KindBool || !c.pure() {
+	if c.kind != KindBool {
 		return nil, false
 	}
 	return c.bools, true
@@ -256,29 +255,38 @@ func (t *Table) ColumnBools(i int) ([]bool, bool) {
 // ColumnStrings returns the dictionary codes and dictionary of a string
 // column of the base storage, indexed by PHYSICAL row. The dictionary
 // maps code -> string and may contain entries no physical row references.
-// ok is false when the column is not a purely string-typed vector.
+// ok is false only when column i is of another kind.
 func (t *Table) ColumnStrings(i int) (codes []uint32, dict []string, ok bool) {
 	c := t.Base().cols[i]
-	if c.kind != KindString || !c.pure() {
+	if c.kind != KindString {
 		return nil, nil, false
 	}
 	return c.codes, c.dict.vals, true
 }
 
-// Append adds records to the table. Records must share the table's schema.
-// Appending to a view first materializes it into an independent base table
-// (the view semantics of Filter/Split results are copy-on-append).
+// Append adds records to the table. Records must share the table's
+// schema, and every value of a standalone record must have its
+// attribute's declared kind; Append panics otherwise, before changing
+// anything, so a rejected call leaves the table and its views as they
+// were. Appending to a view first materializes it into an independent
+// base table (the view semantics of Filter/Split results are
+// copy-on-append).
 func (t *Table) Append(rs ...Record) {
 	for _, r := range rs {
 		if r.schema != t.schema {
 			panic("dataset: record schema does not match table schema")
+		}
+		for i, v := range r.values {
+			if k := t.schema.kinds[i]; v.kind != k {
+				panic(fmt.Sprintf("dataset: attribute %q is %s, got a %s value", t.schema.names[i], k, v.kind))
+			}
 		}
 	}
 	t.materialize()
 	t.invalidate()
 	for _, r := range rs {
 		for i, c := range t.cols {
-			c.appendValue(t.nrows, r.At(i))
+			c.appendValue(r.At(i))
 		}
 		t.nrows++
 	}
@@ -629,9 +637,9 @@ func (t *Table) SortedKeys(name string) []string {
 // scan up to that value, not a sort of all its distinct values. max must
 // not be negative.
 //
-// Pure columns take one typed distinct pass per kind: ints and floats
+// Each column kind takes one typed distinct pass: ints and floats
 // collect a set of 64-bit keys, bools two flags, and strings a seen
-// vector over the dictionary. Only mixed-kind columns go through Values.
+// vector over the dictionary.
 func (t *Table) SortedKeysUpTo(name string, max int) (keys []string, ok bool) {
 	ci := t.schema.ColumnIndex(name)
 	if ci < 0 {
@@ -641,9 +649,6 @@ func (t *Table) SortedKeysUpTo(name string, max int) (keys []string, ok bool) {
 		panic(fmt.Sprintf("dataset: negative distinct-key cap %d", max))
 	}
 	col := t.Base().cols[ci]
-	if !col.pure() {
-		return t.sortedKeysGeneric(col, max)
-	}
 	switch col.kind {
 	case KindInt:
 		vals, ok := distinctUpTo(col.ints, t.sel, t.nrows, max, func(v int64) int64 { return v })
@@ -787,34 +792,4 @@ func seenCodesUpTo[V any](vals []V, sel []int32, n, max, ncodes int, code func(V
 		}
 	}
 	return seen, true
-}
-
-// sortedKeysGeneric serves mixed-kind columns: distinct by rendered
-// string, ordered by typed value (ties broken by the rendering for a
-// stable total order).
-func (t *Table) sortedKeysGeneric(col *column, max int) ([]string, bool) {
-	distinct := make(map[string]Value)
-	n := t.Len()
-	for i := 0; i < n; i++ {
-		v := col.value(t.physRow(i))
-		s := v.AsString()
-		if _, ok := distinct[s]; !ok {
-			if len(distinct) == max {
-				return nil, false
-			}
-			distinct[s] = v
-		}
-	}
-	keys := make([]string, 0, len(distinct))
-	for k := range distinct {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		c := distinct[keys[i]].Compare(distinct[keys[j]])
-		if c != 0 {
-			return c < 0
-		}
-		return keys[i] < keys[j]
-	})
-	return keys, true
 }

@@ -316,9 +316,11 @@ func (d *Domain) binVector(base *dataset.Table) []int32 {
 }
 
 // buildBinVector computes the bin vector in one pass over the typed
-// column, falling back to per-record BinOf for mixed-kind columns. Every
-// branch reproduces BinOf's semantics exactly (bin by AsString for
-// categorical domains, by AsFloat for numeric ones). Each fill variant
+// column. Every column kind has a typed fill for both domain shapes, and
+// a Column* accessor declines only a column of another kind, so exactly
+// one case of each switch matches. Every fill reproduces BinOf's
+// semantics exactly (bin by AsString for categorical domains, by AsFloat
+// for numeric ones). Each fill variant
 // does its setup (dictionary/bin tables, key maps) once on the calling
 // goroutine and then chunks the row loop over the scan worker pool;
 // workers write disjoint bins[lo:hi] segments and only read shared
@@ -336,8 +338,6 @@ func (d *Domain) buildBinVector(base *dataset.Table) []int32 {
 		case d.fillCategoricalInts(base, ci, bins):
 		case d.fillCategoricalFloats(base, ci, bins):
 		case d.fillCategoricalBools(base, ci, bins):
-		default:
-			d.fillGeneric(base, bins)
 		}
 		return bins
 	}
@@ -346,18 +346,8 @@ func (d *Domain) buildBinVector(base *dataset.Table) []int32 {
 	case d.fillNumericFloats(base, ci, bins):
 	case d.fillNumericStrings(base, ci, bins):
 	case d.fillNumericBools(base, ci, bins):
-	default:
-		d.fillGeneric(base, bins)
 	}
 	return bins
-}
-
-func (d *Domain) fillGeneric(base *dataset.Table, bins []int32) {
-	dataset.ParallelRows(len(bins), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			bins[i] = int32(d.BinOf(base.Record(i)))
-		}
-	})
 }
 
 // fillCategoricalStrings resolves each DISTINCT dictionary entry to a bin

@@ -131,9 +131,10 @@ func Geometric(src Source, alpha float64) int64 {
 	}
 }
 
-// Binomial draws from Binomial(n, p). For large variance it switches to a
-// clamped Gaussian approximation, which keeps RR-style sampling of
-// histograms with tens of millions of records tractable.
+// Binomial draws from Binomial(n, p), approximately: once n·p·(1−p)
+// exceeds 100 it switches to a rounded, clamped Gaussian. It is for the
+// synthetic data generators only; a privacy mechanism must not use it
+// (OsdpRR counts come from core's exact keep loop).
 func Binomial(src Source, n int, p float64) int {
 	if n < 0 {
 		panic("noise: negative binomial count")

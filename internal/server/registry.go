@@ -258,16 +258,8 @@ func (s *Server) dropSessionLocked(id string, se *session) {
 // cmd/osdp-server for datasets loaded from disk; the HTTP path goes
 // through RegisterDataset.
 func (s *Server) RegisterTable(name string, t *dataset.Table, p dataset.Policy) error {
-	if !validName(name) {
-		return badf("dataset name %q must be non-empty [A-Za-z0-9._-]+ (it becomes a URL path segment)", name)
-	}
-	// A taken name fails before the O(rows) precompute; the recheck
-	// under the lock below settles racing registrations.
-	s.mu.Lock()
-	_, taken := s.datasets[name]
-	s.mu.Unlock()
-	if taken {
-		return fmt.Errorf("%w: dataset %q already registered", ErrConflict, name)
+	if err := s.checkNameFree(name); err != nil {
+		return err
 	}
 	// Precompute the serving artifacts outside the lock: the policy
 	// partition (bitsets cached on the table, shared by every session),
@@ -288,8 +280,28 @@ func (s *Server) RegisterTable(name string, t *dataset.Table, p dataset.Policy) 
 	return nil
 }
 
+// checkNameFree rejects an invalid or taken dataset name. Registration
+// calls it before any O(rows) work (parsing, precompute); the recheck
+// under the lock in RegisterTable settles racing registrations.
+func (s *Server) checkNameFree(name string) error {
+	if !validName(name) {
+		return badf("dataset name %q must be non-empty [A-Za-z0-9._-]+ (it becomes a URL path segment)", name)
+	}
+	s.mu.Lock()
+	_, taken := s.datasets[name]
+	s.mu.Unlock()
+	if taken {
+		return fmt.Errorf("%w: dataset %q already registered", ErrConflict, name)
+	}
+	return nil
+}
+
 // RegisterDataset parses and registers a dataset from a wire request.
+// An invalid or taken name fails before the CSV is parsed.
 func (s *Server) RegisterDataset(req RegisterDatasetRequest) (DatasetInfo, error) {
+	if err := s.checkNameFree(req.Name); err != nil {
+		return DatasetInfo{}, err
+	}
 	t, err := dataset.ReadCSV(strings.NewReader(req.CSV))
 	if err != nil {
 		return DatasetInfo{}, fmt.Errorf("%w: %v", ErrBadRequest, err)

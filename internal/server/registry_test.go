@@ -38,6 +38,25 @@ func TestRegisterTakenNameFailsFast(t *testing.T) {
 	}
 }
 
+// RegisterDataset checks the name before it parses the CSV: a malformed
+// upload under a taken name is a conflict, not a parse error, so the 409
+// costs no O(rows) parse.
+func TestRegisterDatasetTakenNameBeforeParse(t *testing.T) {
+	s := New(Config{})
+	pol := PolicySpec{Name: "none", SensitiveWhen: PredicateSpec{Op: "false"}}
+	if _, err := s.RegisterDataset(RegisterDatasetRequest{Name: "people", CSV: "Age:int\n34\n", Policy: pol}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := s.RegisterDataset(RegisterDatasetRequest{Name: "people", CSV: "Age:int\nnot-a-number\n", Policy: pol})
+	if !errors.Is(err, ErrConflict) {
+		t.Fatalf("malformed CSV under a taken name: got %v, want ErrConflict", err)
+	}
+	_, err = s.RegisterDataset(RegisterDatasetRequest{Name: "other", CSV: "Age:int\nnot-a-number\n", Policy: pol})
+	if !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("malformed CSV under a free name: got %v, want ErrBadRequest", err)
+	}
+}
+
 // Registering a float column with 4x2^16 distinct values allocates
 // O(cap) objects, not O(rows): the distinct pass stops at the (cap+1)-th
 // value instead of rendering and sorting every distinct float. Measured
