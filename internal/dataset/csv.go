@@ -116,10 +116,12 @@ func parseValue(cell string, kind Kind) (Value, error) {
 // typed header; round-tripping a table through WriteCSV/ReadCSV
 // preserves schema and values, padded and empty strings included, since
 // ReadCSV reads string cells verbatim. The one exception is encoding/csv's
-// own: a "\r\n" inside a string cell reads back as "\n". The bytes are those of an encoding/csv
-// Writer fed each record's At(i).AsString() cells, except that a
-// single-column record whose cell renders empty is written as `""`
-// rather than as a blank line, which CSV readers skip.
+// own: a "\r\n" inside a string cell reads back as "\n".
+//
+// The bytes are those of an encoding/csv Writer fed each record's
+// At(i).AsString() cells, except that a single-column record whose cell
+// renders empty is written as `""` rather than as a blank line, which
+// CSV readers skip.
 //
 // The encoder is columnar: ints, floats and bools append straight into
 // a byte buffer (strconv.Append*, which never yield a cell that needs
