@@ -358,6 +358,43 @@ func BenchmarkServerHistogramQuery(b *testing.B) {
 	}
 }
 
+// minorsPolicy marks Age < 18 sensitive, the policy of bench/'s mix-1m.
+func minorsPolicy() dataset.Policy {
+	return dataset.NewPolicy("minors", dataset.Cmp("Age", dataset.OpLt, dataset.Int(18)))
+}
+
+// BenchmarkServerScanQueries measures the path bench/'s mix-1m serves:
+// count and histogram queries through the full serving path on the
+// 1M-row table registered under Age < 18, so every scan runs over the
+// non-sensitive partition view (~82% of the rows), not the identity
+// view BenchmarkServerHistogramQuery registers.
+func BenchmarkServerScanQueries(b *testing.B) {
+	tb := dataplaneBenchTable()
+	srv := server.New(server.Config{AllowSeededSessions: true})
+	if err := srv.RegisterTable("bench", tb, minorsPolicy()); err != nil {
+		b.Fatal(err)
+	}
+	seed := int64(7)
+	si, err := srv.OpenSession("", server.OpenSessionRequest{Dataset: "bench", Budget: 0, Seed: &seed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	where := &server.PredicateSpec{Op: "cmp", Attr: "Age", Cmp: ">=", Value: float64(40)}
+	for _, req := range []server.QueryRequest{
+		{Kind: server.KindCount, Eps: 0.1, Where: where},
+		{Kind: server.KindHistogram, Eps: 0.1, Dims: []server.DomainSpec{{Attr: "Group"}}, Where: where},
+	} {
+		b.Run(req.Kind, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := srv.Query("", si.ID, req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkRegisterTable registers the 1M-row data-plane table (64-group
 // Group, Age 0..99 and a float Score with ~1M distinct values) under an
 // Age < 18 policy, the shape of bench/'s mix-1m. Each iteration registers
@@ -367,7 +404,7 @@ func BenchmarkServerHistogramQuery(b *testing.B) {
 // the 2^16 domain cap; its allocations stay O(cap), not O(rows).
 func BenchmarkRegisterTable(b *testing.B) {
 	tb := dataplaneBenchTable()
-	pol := dataset.NewPolicy("minors", dataset.Cmp("Age", dataset.OpLt, dataset.Int(18)))
+	pol := minorsPolicy()
 	srv := server.New(server.Config{})
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -384,12 +421,15 @@ func BenchmarkRegisterTable(b *testing.B) {
 // TestServerHistogramQueryAllocs pins the "no per-record allocation"
 // property of the serving path: allocations per histogram query must not
 // grow with the table (a per-record map would add one entry per matching
-// record). Compared across a 64x row-count spread with generous slack.
+// record). Compared across a 64x row-count spread with generous slack,
+// under an identity policy (every row non-sensitive) and under the
+// Age < 18 partition that bench/'s mix-1m serves.
 func TestServerHistogramQueryAllocs(t *testing.T) {
-	allocsFor := func(rows int) float64 {
+	policies := []dataset.Policy{dataset.AllNonSensitive(), minorsPolicy()}
+	allocsFor := func(rows int, pol dataset.Policy) float64 {
 		tb := newDataplaneTable(rows, 16, 2)
 		srv := server.New(server.Config{AllowSeededSessions: true})
-		if err := srv.RegisterTable("d", tb, dataset.AllNonSensitive()); err != nil {
+		if err := srv.RegisterTable("d", tb, pol); err != nil {
 			t.Fatal(err)
 		}
 		seed := int64(11)
@@ -414,12 +454,14 @@ func TestServerHistogramQueryAllocs(t *testing.T) {
 			}
 		})
 	}
-	small, large := allocsFor(1000), allocsFor(64000)
-	if large > small+64 {
-		t.Errorf("allocations grew with table size: %v at 1k rows vs %v at 64k rows", small, large)
-	}
-	if large > 1000 {
-		t.Errorf("histogram query allocates %v objects/op; per-record work has crept back in", large)
+	for _, pol := range policies {
+		small, large := allocsFor(1000, pol), allocsFor(64000, pol)
+		if large > small+64 {
+			t.Errorf("%s: allocations grew with table size: %v at 1k rows vs %v at 64k rows", pol.Name(), small, large)
+		}
+		if large > 1000 {
+			t.Errorf("%s: histogram query allocates %v objects/op; per-record work has crept back in", pol.Name(), large)
+		}
 	}
 }
 

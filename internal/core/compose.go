@@ -31,7 +31,14 @@ type Accountant struct {
 	mu      sync.Mutex
 	budget  float64 // 0 means unlimited
 	spent   float64
-	charges []Guarantee
+	charges []Guarantee // every charge, in order: Charges and Refund read it
+
+	// The composite's parts, kept as charges land so that Composite and
+	// Snapshot cost O(distinct policies), not O(charges): each distinct
+	// charged policy once (Policy.Equal), in first-charge order, and the
+	// charges' ε summed in charge order.
+	policies []dataset.Policy
+	eps      float64
 }
 
 // NewAccountant returns an accountant with the given total ε budget.
@@ -60,8 +67,26 @@ func (a *Accountant) Spend(g Guarantee) error {
 		return fmt.Errorf("core: charge %g %w %g", g.Epsilon, ErrBudgetExceeded, a.budget-a.spent)
 	}
 	a.spent += g.Epsilon
-	a.charges = append(a.charges, g)
+	a.record(g)
 	return nil
+}
+
+// record appends g to the charges and folds it into the composite's
+// parts. The caller holds a.mu.
+func (a *Accountant) record(g Guarantee) {
+	a.charges = append(a.charges, g)
+	a.fold(g)
+}
+
+// fold adds g to the composite's parts. The caller holds a.mu.
+func (a *Accountant) fold(g Guarantee) {
+	a.eps += g.Epsilon
+	for _, p := range a.policies {
+		if p.Equal(g.Policy) {
+			return
+		}
+	}
+	a.policies = append(a.policies, g.Policy)
 }
 
 // Spent returns the total ε consumed so far.
@@ -103,17 +128,15 @@ func (a *Accountant) Composite() Guarantee {
 	return a.compositeLocked()
 }
 
+// compositeLocked relaxes over each distinct policy once: a repeated
+// policy adds nothing to the minimum relaxation (its sensitive records
+// are already required), and MinimumRelaxation names each policy name
+// once, in first-charge order, either way.
 func (a *Accountant) compositeLocked() Guarantee {
 	if len(a.charges) == 0 {
 		return Guarantee{Policy: dataset.AllSensitive(), Epsilon: 0}
 	}
-	policies := make([]dataset.Policy, len(a.charges))
-	var eps float64
-	for i, c := range a.charges {
-		policies[i] = c.Policy
-		eps += c.Epsilon
-	}
-	return Guarantee{Policy: dataset.MinimumRelaxation(policies...), Epsilon: eps}
+	return Guarantee{Policy: dataset.MinimumRelaxation(a.policies...), Epsilon: a.eps}
 }
 
 // Refund removes the most recent recorded charge matching g — same
@@ -134,6 +157,14 @@ func (a *Accountant) Refund(g Guarantee) error {
 		c := a.charges[i]
 		if c.Epsilon == g.Epsilon && c.Policy.Name() == g.Policy.Name() {
 			a.charges = append(a.charges[:i], a.charges[i+1:]...)
+			// Rebuild the composite's parts from the charges that stand,
+			// so first-charge order and the ε sum are exactly what they
+			// would be had the refunded charge never landed. Refunds are
+			// rare (pre-noise failures), so the O(charges) pass is too.
+			a.policies, a.eps = nil, 0
+			for _, c := range a.charges {
+				a.fold(c)
+			}
 			a.spent -= g.Epsilon
 			if a.spent < 0 { // float dust from non-associative sums
 				a.spent = 0
@@ -160,7 +191,7 @@ func (a *Accountant) RestoreSpend(g Guarantee) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.spent += g.Epsilon
-	a.charges = append(a.charges, g)
+	a.record(g)
 	return nil
 }
 

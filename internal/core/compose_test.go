@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -166,5 +168,106 @@ func TestCompositeRelaxesTowardWeakest(t *testing.T) {
 	// Adult: non-sensitive under p => non-sensitive in composite.
 	if comp.Policy.Sensitive(rec(s, 0, 40)) {
 		t.Error("adult should be non-sensitive in composite")
+	}
+}
+
+// referenceComposite is the composite as the charges define it: ε summed
+// in charge order and the minimum relaxation of every charged policy.
+func referenceComposite(charges []Guarantee) Guarantee {
+	if len(charges) == 0 {
+		return Guarantee{Policy: dataset.AllSensitive(), Epsilon: 0}
+	}
+	policies := make([]dataset.Policy, len(charges))
+	var eps float64
+	for i, c := range charges {
+		policies[i] = c.Policy
+		eps += c.Epsilon
+	}
+	return Guarantee{Policy: dataset.MinimumRelaxation(policies...), Epsilon: eps}
+}
+
+// TestCompositeMatchesChargesUnderRefunds drives random spends, restores
+// and refunds over policies that share names, predicates or neither, and
+// after every step checks the kept composite against one rebuilt from
+// Charges(): the same String, the same ε bit for bit, and the same
+// sensitive records.
+func TestCompositeMatchesChargesUnderRefunds(t *testing.T) {
+	minors := dataset.Cmp("Age", dataset.OpLt, dataset.Int(18))
+	seniors := dataset.Cmp("Age", dataset.OpGe, dataset.Int(65))
+	even := dataset.FuncPredicate("even", func(r dataset.Record) bool { return r.Get("Age").AsFloat()/2 == math.Floor(r.Get("Age").AsFloat()/2) })
+	policies := []dataset.Policy{
+		dataset.NewPolicy("a", minors),
+		dataset.NewPolicy("a", minors),  // equal to the first
+		dataset.NewPolicy("a", seniors), // same name, other predicate
+		dataset.NewPolicy("b", dataset.Or(minors, seniors)),
+		dataset.NewPolicy("c", even),
+		dataset.NewPolicy("c", dataset.Not(minors)),
+	}
+	schema := dataset.NewSchema(dataset.Field{Name: "Age", Kind: dataset.KindInt})
+	universe := make([]dataset.Record, 100)
+	for i := range universe {
+		universe[i] = dataset.NewRecord(schema, dataset.Int(int64(i)))
+	}
+	epsilons := []float64{0.1, 0.2, 0.3}
+	rng := rand.New(rand.NewSource(5))
+	a := NewAccountant(0)
+	for step := 0; step < 2000; step++ {
+		g := Guarantee{Policy: policies[rng.Intn(len(policies))], Epsilon: epsilons[rng.Intn(len(epsilons))]}
+		switch rng.Intn(4) {
+		case 0, 1:
+			if err := a.Spend(g); err != nil {
+				t.Fatal(err)
+			}
+		case 2:
+			if err := a.RestoreSpend(g); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			_ = a.Refund(g) // no matching charge is fine
+		}
+		got, want := a.Composite(), referenceComposite(a.Charges())
+		if got.String() != want.String() || math.Float64bits(got.Epsilon) != math.Float64bits(want.Epsilon) {
+			t.Fatalf("step %d: composite %s (ε %v), charges give %s (ε %v)", step, got, got.Epsilon, want, want.Epsilon)
+		}
+		for _, r := range universe {
+			if got.Policy.Sensitive(r) != want.Policy.Sensitive(r) {
+				t.Fatalf("step %d: record %v sensitive=%v under the composite, %v under the charges", step, r.Key(), got.Policy.Sensitive(r), want.Policy.Sensitive(r))
+			}
+		}
+	}
+}
+
+// TestSnapshotCostIndependentOfCharges pins that a snapshot does not
+// walk the charge history: a session answering thousands of queries
+// under one policy reports its budget at the cost of its first query.
+// Both the objects and the bytes a snapshot allocates are compared, since
+// a walk over the history can allocate as few objects as a constant
+// snapshot, only larger ones.
+func TestSnapshotCostIndependentOfCharges(t *testing.T) {
+	p := dataset.NewPolicy("minors", dataset.Cmp("Age", dataset.OpLt, dataset.Int(18)))
+	const runs = 100
+	costAt := func(charges int) (objects, bytes float64) {
+		a := NewAccountant(0)
+		for i := 0; i < charges; i++ {
+			if err := a.Spend(Guarantee{Policy: p, Epsilon: 0.1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		objects = testing.AllocsPerRun(runs, func() { a.Snapshot() })
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			a.Snapshot()
+		}
+		runtime.ReadMemStats(&after)
+		return objects, float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	fewObjects, fewBytes := costAt(10)
+	manyObjects, manyBytes := costAt(10000)
+	if manyObjects > fewObjects+2 {
+		t.Errorf("Snapshot allocates %v objects at 10k charges, %v at 10", manyObjects, fewObjects)
+	}
+	if manyBytes > fewBytes+256 {
+		t.Errorf("Snapshot allocates %v bytes at 10k charges, %v at 10", manyBytes, fewBytes)
 	}
 }

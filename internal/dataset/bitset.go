@@ -112,3 +112,15 @@ func (b *Bitset) indices() []int32 {
 	}
 	return out
 }
+
+// Words returns the bitset's backing words: row i is bit i&63 of word
+// i>>6, and the bits of rows at or beyond Len() are zero. Scans walk the
+// set rows of a word with bits.TrailingZeros64. The caller must not
+// modify the slice.
+func (b *Bitset) Words() []uint64 { return b.words }
+
+// chunkWords returns the words holding rows [lo, hi); lo must be a
+// multiple of 64, as every ParallelRows chunk start is.
+func (b *Bitset) chunkWords(lo, hi int) []uint64 {
+	return b.words[lo>>6 : (hi+63)>>6]
+}

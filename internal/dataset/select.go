@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math"
+	"math/bits"
 	"strings"
 )
 
@@ -60,23 +61,24 @@ func evalCombinators(pred Predicate, n int, leafCmp func(cmpPredicate) *Bitset, 
 	}
 }
 
-// evalPhysical evaluates pred over every physical row of base table b,
-// returning a bitset over physical rows 0..b.nrows-1.
-func evalPhysical(b *Table, pred Predicate) *Bitset {
+// evalPhysical evaluates pred over the physical rows of base table b,
+// returning a bitset over physical rows 0..b.nrows-1. Comparison leaves
+// run vectorized over every row; opaque leaves (FuncPredicate) are called
+// only on the rows set in members, or on every row when members is nil,
+// so a caller scanning a view passes the view's membership mask and must
+// AND it into the result: bits outside members are unspecified.
+func evalPhysical(b *Table, pred Predicate, members *Bitset) *Bitset {
 	return evalCombinators(pred, b.nrows,
 		func(q cmpPredicate) *Bitset { return evalCmpPhysical(b, q) },
-		func(p Predicate) *Bitset { return evalGenericPhysical(b, p) })
+		func(p Predicate) *Bitset { return evalGenericPhysical(b, p, members) })
 }
 
 // evalViewRelative evaluates pred over a view's rows, returning a bitset
 // over VIEW positions. Vectorized comparisons still run over the full
 // base column (they are total, pure functions, so evaluating excluded
 // rows is invisible) and project through the selection; opaque
-// predicates (FuncPredicate) are invoked only on the view's own rows —
-// a predicate that is partial, side-effecting, or only defined on a
-// partition must never see rows the view excludes. The opaque loop is
-// also kept serial for the same reason: an opaque predicate promised
-// purity, not safety under concurrent invocation.
+// predicates (FuncPredicate) are invoked only on the view's own rows,
+// serially (see evalGenericPhysical).
 func evalViewRelative(t *Table, pred Predicate) *Bitset {
 	base := t.Base()
 	return evalCombinators(pred, len(t.sel),
@@ -107,15 +109,30 @@ func projectToView(t *Table, phys *Bitset) *Bitset {
 	return out
 }
 
-// evalGenericPhysical is the row-at-a-time fallback for opaque
-// predicates (FuncPredicate). It is deliberately serial: the purity
-// contract opaque predicates sign up to says nothing about safety under
-// concurrent invocation, so they are never called from pool workers.
-func evalGenericPhysical(b *Table, pred Predicate) *Bitset {
+// evalGenericPhysical is the row-at-a-time evaluation of an opaque
+// predicate (FuncPredicate) over the rows set in members, or over every
+// row of b when members is nil. An opaque predicate may be partial,
+// side-effecting, or only defined on a partition, so it must never see a
+// row the scanned view excludes. The loop is deliberately serial: the
+// purity contract opaque predicates sign up to says nothing about safety
+// under concurrent invocation, so they are never called from pool
+// workers.
+func evalGenericPhysical(b *Table, pred Predicate, members *Bitset) *Bitset {
 	out := NewBitset(b.nrows)
-	for i := 0; i < b.nrows; i++ {
+	eval := func(i int) {
 		if pred.Eval(Record{schema: b.schema, tab: b, row: i}) {
 			out.set(i)
+		}
+	}
+	if members == nil {
+		for i := 0; i < b.nrows; i++ {
+			eval(i)
+		}
+		return out
+	}
+	for wi, w := range members.words {
+		for ; w != 0; w &= w - 1 {
+			eval(wi<<6 | bits.TrailingZeros64(w))
 		}
 	}
 	return out
@@ -163,10 +180,16 @@ func allOrNone(n int, all bool) *Bitset {
 
 // evalCmpPhysical vectorizes one comparison predicate over the typed
 // column vector. The row loops are chunked across the scan worker pool
-// (ParallelRows): per-leaf setup — operator dispatch, the per-dictionary
-// verdict table — happens once on the calling goroutine, then each
-// worker fills a disjoint chunk-aligned segment of the output bitset,
+// (ParallelRows): per-leaf setup — the bool verdicts, the
+// per-dictionary verdicts — happens once on the calling goroutine,
+// then each worker fills a disjoint chunk-aligned run of output words,
 // so the parallel result is positionally identical to the serial one.
+//
+// Every row loop builds one uint64 word per 64 rows in a register and
+// stores it once, turning each row's verdict into a bit with a flag read
+// or a table lookup instead of a branch, so the loop runs at the same
+// speed whatever the selectivity (Ross, "Selection Conditions in Main
+// Memory", TODS 2004).
 func evalCmpPhysical(b *Table, q cmpPredicate) *Bitset {
 	ci := b.schema.ColumnIndex(q.attr)
 	if ci < 0 {
@@ -183,7 +206,7 @@ func evalCmpPhysical(b *Table, q cmpPredicate) *Bitset {
 		if v := q.val.AsFloat(); !math.IsNaN(v) {
 			out := NewBitset(n)
 			ParallelRows(n, func(_, lo, hi int) {
-				vecCmpInts(out, col.ints[lo:hi], v, q.op, lo)
+				cmpWords(out.chunkWords(lo, hi), col.ints[lo:hi], v, q.op)
 			})
 			return out
 		}
@@ -197,7 +220,7 @@ func evalCmpPhysical(b *Table, q cmpPredicate) *Bitset {
 		if v := q.val.AsFloat(); !math.IsNaN(v) {
 			out := NewBitset(n)
 			ParallelRows(n, func(_, lo, hi int) {
-				vecCmpFloats(out, col.floats[lo:hi], v, q.op, lo)
+				cmpWords(out.chunkWords(lo, hi), col.floats[lo:hi], v, q.op)
 			})
 			return out
 		}
@@ -207,13 +230,17 @@ func evalCmpPhysical(b *Table, q cmpPredicate) *Bitset {
 			return constBitset(n, KindBool, q.val, q.op)
 		}
 		out := NewBitset(n)
-		matchTrue := verdict(cmpBool(true, q.val.b), q.op)
-		matchFalse := verdict(cmpBool(false, q.val.b), q.op)
+		// Bit 0 is the verdict of a false row, bit 1 of a true one.
+		match := b2u(verdict(cmpBool(false, q.val.b), q.op)) | b2u(verdict(cmpBool(true, q.val.b), q.op))<<1
 		ParallelRows(n, func(_, lo, hi int) {
-			for i, x := range col.bools[lo:hi] {
-				if (x && matchTrue) || (!x && matchFalse) {
-					out.set(lo + i)
+			xs, words := col.bools[lo:hi], out.chunkWords(lo, hi)
+			for wi := range words {
+				blk := xs[wi<<6 : min(wi<<6+64, len(xs))]
+				var w uint64
+				for _, x := range blk {
+					w = w>>1 | (match>>b2u(x)&1)<<63
 				}
+				words[wi] = w >> (64 - len(blk))
 			}
 		})
 		return out
@@ -223,112 +250,69 @@ func evalCmpPhysical(b *Table, q cmpPredicate) *Bitset {
 		}
 		// Dictionary win: decide the comparison once per DISTINCT value,
 		// then the row pass is a pure table lookup.
-		match := make([]bool, len(col.dict.vals))
+		match := make([]uint64, len(col.dict.vals))
 		for code, s := range col.dict.vals {
-			match[code] = verdict(strings.Compare(s, q.val.s), q.op)
+			match[code] = b2u(verdict(strings.Compare(s, q.val.s), q.op))
 		}
 		out := NewBitset(n)
 		ParallelRows(n, func(_, lo, hi int) {
-			for i, code := range col.codes[lo:hi] {
-				if match[code] {
-					out.set(lo + i)
+			codes, words := col.codes[lo:hi], out.chunkWords(lo, hi)
+			for wi := range words {
+				blk := codes[wi<<6 : min(wi<<6+64, len(codes))]
+				var w uint64
+				for _, code := range blk {
+					w = w>>1 | match[code]<<63
 				}
+				words[wi] = w >> (64 - len(blk))
 			}
 		})
 		return out
 	}
 }
 
-// vecCmpInts sets the bits of rows whose int value compares to v under
-// op. The operator switch is hoisted out of the row loop — one tight
-// branch-free-ish loop per operator. Comparison is through float64 on
-// both sides, matching Value.Compare's numeric semantics exactly. xs is
-// one chunk of the column; off is its first row's index, so bit off+i
-// corresponds to xs[i] (chunks are word-aligned — see ParallelRows).
-func vecCmpInts(out *Bitset, xs []int64, v float64, op CmpOp, off int) {
-	switch op {
-	case OpEq:
-		for i, x := range xs {
-			if float64(x) == v {
-				out.set(off + i)
+// cmpWords fills words with the verdicts of xs (one chunk of an int or
+// float column, starting on a word boundary) against v, which must not
+// be NaN. Comparison is through float64 on both sides, matching
+// Value.Compare's numeric semantics exactly. Each operator is one of
+// x < v, x > v and x < v || x > v, or its complement; a NaN row fails
+// all three, so it matches exactly the complemented operators (Le, Ge,
+// Eq), as Value.Compare's 0 for NaN has it. Each row's verdict is
+// shifted in at the top of the word, so a block of k rows ends in the
+// top k bits and one shift puts row 0 at bit 0.
+func cmpWords[T int64 | float64](words []uint64, xs []T, v float64, op CmpOp) {
+	var flip uint64
+	if op == OpLe || op == OpGe || op == OpEq {
+		flip = ^uint64(0)
+	}
+	for wi := range words {
+		blk := xs[wi<<6 : min(wi<<6+64, len(xs))]
+		var w uint64
+		switch op {
+		case OpLt, OpGe:
+			for _, x := range blk {
+				w = w>>1 | b2u(float64(x) < v)<<63
+			}
+		case OpGt, OpLe:
+			for _, x := range blk {
+				w = w>>1 | b2u(float64(x) > v)<<63
+			}
+		case OpNe, OpEq:
+			for _, x := range blk {
+				f := float64(x)
+				w = w>>1 | (b2u(f < v)|b2u(f > v))<<63
 			}
 		}
-	case OpNe:
-		for i, x := range xs {
-			if float64(x) != v {
-				out.set(off + i)
-			}
-		}
-	case OpLt:
-		for i, x := range xs {
-			if float64(x) < v {
-				out.set(off + i)
-			}
-		}
-	case OpLe:
-		for i, x := range xs {
-			if float64(x) <= v {
-				out.set(off + i)
-			}
-		}
-	case OpGt:
-		for i, x := range xs {
-			if float64(x) > v {
-				out.set(off + i)
-			}
-		}
-	case OpGe:
-		for i, x := range xs {
-			if float64(x) >= v {
-				out.set(off + i)
-			}
-		}
+		words[wi] = (w ^ flip) >> (64 - len(blk))
 	}
 }
 
-// vecCmpFloats is vecCmpInts for float64 columns. v is known non-NaN
-// (handled by the caller), but a stored x may be NaN: Value.Compare
-// yields 0 for it, so Eq/Le/Ge must also match NaN rows and Ne must not
-// (the x != x test is the NaN check).
-func vecCmpFloats(out *Bitset, xs []float64, v float64, op CmpOp, off int) {
-	switch op {
-	case OpEq:
-		for i, x := range xs {
-			if x == v || x != x {
-				out.set(off + i)
-			}
-		}
-	case OpNe:
-		for i, x := range xs {
-			if x != v && x == x {
-				out.set(off + i)
-			}
-		}
-	case OpLt:
-		for i, x := range xs {
-			if x < v {
-				out.set(off + i)
-			}
-		}
-	case OpLe:
-		for i, x := range xs {
-			if x <= v || x != x {
-				out.set(off + i)
-			}
-		}
-	case OpGt:
-		for i, x := range xs {
-			if x > v {
-				out.set(off + i)
-			}
-		}
-	case OpGe:
-		for i, x := range xs {
-			if x >= v || x != x {
-				out.set(off + i)
-			}
-		}
+// b2u is 1 for true and 0 for false; the compiler lowers it to a flag
+// read, not a branch.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
 	}
+	return 0
 }
 
 func cmpBool(a, b bool) int {

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Schema names and types the attributes of a table. Attribute order is
@@ -162,6 +163,11 @@ type Table struct {
 
 	base *Table  // nil for base tables; the storage owner for views
 	sel  []int32 // view: physical row ids in base, strictly increasing
+
+	// mask is the table's membership over Base()'s physical rows (see
+	// members): a view made by Split holds its cached partition bitset
+	// from the start, any other table builds the mask on first use.
+	mask atomic.Pointer[Bitset]
 
 	mu     sync.Mutex
 	splits map[string]*splitEntry
@@ -319,6 +325,7 @@ func (t *Table) invalidate() {
 	t.mu.Lock()
 	t.splits = nil
 	t.mu.Unlock()
+	t.mask.Store(nil)
 }
 
 // Record returns the i-th record as a row view.
@@ -385,24 +392,71 @@ func (t *Table) viewFromSel(sel []int32) *Table {
 }
 
 // Select compiles and evaluates pred over the table, returning the
-// selection bitset (bit i set means record i matches). Comparison
-// predicates over typed columns are evaluated vectorized — one pass over
-// the typed slice with no per-record interface dispatch; combinators
-// become bitset algebra. On tables above one chunk (64K rows) the
-// vectorized passes are sharded across the scan worker pool (see
-// ParallelRows); results are bit-identical to serial evaluation for
-// every worker count. Unlike per-record evaluation, And/Or do not
-// short-circuit, so predicates must be pure functions of the record.
-// Opaque predicates (FuncPredicate) are invoked only on the table's own
-// records — never on rows a view excludes — and always serially, never
-// from pool workers.
+// selection bitset over the table's own positions (bit i set means
+// record i matches). Comparison predicates over typed columns are
+// evaluated vectorized — one pass over the typed slice with no
+// per-record interface dispatch; combinators become bitset algebra. On
+// tables above one chunk (64K rows) the vectorized passes are sharded
+// across the scan worker pool (see ParallelRows); results are
+// bit-identical to serial evaluation for every worker count. Unlike
+// per-record evaluation, And/Or do not short-circuit, so predicates must
+// be pure functions of the record. Opaque predicates (FuncPredicate) are
+// invoked only on the table's own records — never on rows a view
+// excludes — and always serially, never from pool workers.
 //
 // Select is safe for concurrent use with other reads of the table.
 func (t *Table) Select(pred Predicate) *Bitset {
 	if t.sel == nil || t.selIsIdentity() {
-		return evalPhysical(t.Base(), pred)
+		return evalPhysical(t.Base(), pred, nil)
 	}
 	return evalViewRelative(t, pred)
+}
+
+// SelectPhysical returns the physical rows of Base() that are in t and
+// satisfy pred, as a bitset over Base()'s rows. A nil pred selects every
+// row of t. Scans that read the column vectors by physical row
+// (Table.Count, histogram.Query.Eval) use it to skip mapping a view's
+// rows onto its own positions: the predicate is evaluated over the base
+// columns, exactly as Select evaluates it, and ANDed in place with t's
+// membership mask. Opaque predicates see only t's own rows, serially, as
+// under Select.
+//
+// With a nil or True pred the result is the membership mask itself,
+// shared by every caller; the caller must not modify it. SelectPhysical
+// is safe for concurrent use with other reads of the table.
+func (t *Table) SelectPhysical(pred Predicate) *Bitset {
+	if _, all := pred.(truePredicate); all || pred == nil {
+		return t.members()
+	}
+	if t.sel == nil || t.selIsIdentity() {
+		// Every physical row is a member.
+		return evalPhysical(t.Base(), pred, nil)
+	}
+	members := t.members()
+	out := evalPhysical(t.Base(), pred, members)
+	out.andWith(members)
+	return out
+}
+
+// members returns t's membership mask over Base()'s physical rows,
+// building it on first use, and again if the base table has grown since
+// (a view keeps its rows when its base is appended to). Racing builders
+// store equal masks, so whichever lands last serves every caller alike.
+func (t *Table) members() *Bitset {
+	n := t.Base().nrows
+	if m := t.mask.Load(); m != nil && m.n == n {
+		return m
+	}
+	m := NewBitset(n)
+	if t.sel == nil {
+		m.setAll()
+	} else {
+		for _, p := range t.sel {
+			m.set(int(p))
+		}
+	}
+	t.mask.Store(m)
+	return m
 }
 
 // selIsIdentity reports whether a view covers every base row in order.
@@ -421,10 +475,15 @@ func (t *Table) Filter(pred Predicate) *Table {
 	return t.viewOf(t.Select(pred).indices())
 }
 
-// Count returns the number of records satisfying pred, via one vectorized
-// pass.
+// Count returns the number of records satisfying pred (every record when
+// pred is nil): the population count of SelectPhysical, so a view is
+// counted over its physical rows without mapping them onto its own
+// positions.
 func (t *Table) Count(pred Predicate) int {
-	return t.Select(pred).Count()
+	if _, all := pred.(truePredicate); all || pred == nil {
+		return t.Len()
+	}
+	return t.SelectPhysical(pred).Count()
 }
 
 // GroupCount groups records by the value of attribute name and returns a
@@ -585,7 +644,12 @@ func (t *Table) Split(p Policy) (sensitive, nonSensitive *Table) {
 		// View: translate view-relative indices to physical rows.
 		return t.viewOf(e.sensSel), t.viewOf(e.nsSel)
 	}
-	return t.viewFromSel(e.sensSel), t.viewFromSel(e.nsSel)
+	sens, ns := t.viewFromSel(e.sensSel), t.viewFromSel(e.nsSel)
+	// Over a base table the partition bitsets are over physical rows:
+	// they are the views' membership masks.
+	sens.mask.Store(e.sens)
+	ns.mask.Store(e.ns)
+	return sens, ns
 }
 
 // Clone returns an independent table with the same records. Column

@@ -10,6 +10,7 @@ package histogram
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strconv"
 	"sync"
@@ -578,12 +579,15 @@ const maxParallelAccumulateBins = 1 << 16
 // row-major order (first dimension outermost). Records outside the domain
 // or failing the condition are ignored.
 //
-// Execution is columnar: the WHERE condition compiles to a selection
-// bitset (dataset.Table.Select) and each dimension contributes a cached
-// per-row bin-id vector, so the scan is one pass over int slices with no
-// per-record rendering, map entries, or interface dispatch. Reusing the
-// same Domain values across queries (as the server registry does) makes
-// the binning pass a one-time cost per (table, domain).
+// Execution is columnar: the WHERE condition compiles to a bitset over
+// the base table's physical rows, already ANDed with the table's
+// membership (dataset.Table.SelectPhysical), and each dimension
+// contributes a cached per-physical-row bin-id vector, so the scan walks
+// the set bits of that bitset and reads the bin vectors directly — no
+// per-record rendering, map entries, or interface dispatch, and no
+// mapping of a view's rows onto its own positions. Reusing the same
+// Domain values across queries (as the server registry does) makes the
+// binning pass a one-time cost per (table, domain).
 //
 // On tables above one chunk (64K rows) the accumulation pass is sharded
 // across the dataset scan worker pool: each worker counts its chunks
@@ -612,36 +616,28 @@ func (q Query) Eval(t *dataset.Table) *Histogram {
 		// generically rather than silently dropping dimensions.
 		return q.evalND(t, h)
 	}
-	var where *dataset.Bitset
-	if q.Where != nil {
-		where = t.Select(q.Where)
-	}
-	sel := t.Selection()
-	n := t.Len()
-	// accumulate counts rows [lo, hi) of the (table-relative) row range
-	// into counts. Everything it reads — bin vectors, the WHERE bitset,
-	// the selection — is immutable during the pass.
+	rows := t.SelectPhysical(q.Where).Words()
+	n := base.Len()
+	// accumulate counts the selected physical rows of [lo, hi) into
+	// counts, walking the set bits of each word. Everything it reads —
+	// bin vectors, the row bitset — is immutable during the pass.
 	accumulate := func(counts []float64, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if where != nil && !where.Get(i) {
-				continue
-			}
-			p := i
-			if sel != nil {
-				p = int(sel[i])
-			}
-			b := bins0[p]
-			if b < 0 {
-				continue
-			}
-			if bins1 != nil {
-				b2 := bins1[p]
-				if b2 < 0 {
+		for wi := lo >> 6; wi < (hi+63)>>6; wi++ {
+			for w := rows[wi]; w != 0; w &= w - 1 {
+				p := wi<<6 | bits.TrailingZeros64(w)
+				b := bins0[p]
+				if b < 0 {
 					continue
 				}
-				b = b*int32(size1) + b2
+				if bins1 != nil {
+					b2 := bins1[p]
+					if b2 < 0 {
+						continue
+					}
+					b = b*int32(size1) + b2
+				}
+				counts[b]++
 			}
-			counts[b]++
 		}
 	}
 	if dataset.ScanParallelism(n) > 1 && len(h.counts) <= maxParallelAccumulateBins {
@@ -686,31 +682,21 @@ func (q Query) evalND(t *dataset.Table, h *Histogram) *Histogram {
 		binVecs[d] = dom.binVector(base)
 		sizes[d] = dom.Size()
 	}
-	var where *dataset.Bitset
-	if q.Where != nil {
-		where = t.Select(q.Where)
-	}
-	sel := t.Selection()
-	n := t.Len()
-	for i := 0; i < n; i++ {
-		if where != nil && !where.Get(i) {
-			continue
-		}
-		p := i
-		if sel != nil {
-			p = int(sel[i])
-		}
-		bin, ok := 0, true
-		for d := range binVecs {
-			b := binVecs[d][p]
-			if b < 0 {
-				ok = false
-				break
+	for wi, w := range t.SelectPhysical(q.Where).Words() {
+		for ; w != 0; w &= w - 1 {
+			p := wi<<6 | bits.TrailingZeros64(w)
+			bin, ok := 0, true
+			for d := range binVecs {
+				b := binVecs[d][p]
+				if b < 0 {
+					ok = false
+					break
+				}
+				bin = bin*sizes[d] + int(b)
 			}
-			bin = bin*sizes[d] + int(b)
-		}
-		if ok {
-			h.counts[bin]++
+			if ok {
+				h.counts[bin]++
+			}
 		}
 	}
 	return h

@@ -24,8 +24,9 @@ import (
 // reads could hand two goroutines overlapping random bytes — correlated
 // noise that would silently weaken the privacy guarantee.
 type secureSource struct {
-	mu sync.Mutex
-	r  *bufio.Reader
+	mu  sync.Mutex
+	r   *bufio.Reader
+	buf [8]byte // one variate's bytes; a local array would escape to the heap through io.ReadFull
 }
 
 // NewSecureSource returns a Source backed by crypto/rand. Sampling is a
@@ -41,14 +42,13 @@ func NewSecureSource() Source {
 func (s *secureSource) Float64() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var buf [8]byte
-	if _, err := io.ReadFull(s.r, buf[:]); err != nil {
+	if _, err := io.ReadFull(s.r, s.buf[:]); err != nil {
 		// crypto/rand failure means the platform's entropy source is
 		// broken; producing deterministic "noise" would silently void the
 		// privacy guarantee, so fail loudly.
 		panic(fmt.Sprintf("noise: reading crypto/rand: %v", err))
 	}
-	return float64(binary.LittleEndian.Uint64(buf[:])>>11) / (1 << 53)
+	return float64(binary.LittleEndian.Uint64(s.buf[:])>>11) / (1 << 53)
 }
 
 // Snap post-processes a noisy value with the snapping mechanism: clamp to

@@ -115,3 +115,13 @@ func TestSnapErrorBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestSecureSourceFloat64DoesNotAllocate pins the buffer's home in the
+// source: a per-call buffer escapes through io.ReadFull and costs one
+// allocation per uniform, tens of thousands per quantile query.
+func TestSecureSourceFloat64DoesNotAllocate(t *testing.T) {
+	src := NewSecureSource()
+	if allocs := testing.AllocsPerRun(1000, func() { src.Float64() }); allocs != 0 {
+		t.Errorf("secure Float64 allocates %v objects per call, want 0", allocs)
+	}
+}

@@ -46,10 +46,13 @@ const maxDerivedDomainKeys = 1 << 16
 //     binning pass too. Workload queries ride the same LRUs: their
 //     numeric synopsis domains are explicit shapes, so a repeated
 //     workload shape reuses its compiled domain and bin vector.
-//   - Computed PER QUERY: the WHERE selection bitset, the noised counts,
-//     and everything ε-bearing — including every fitted workload
-//     synopsis, which is a noised release and must be drawn fresh per
-//     charge. Nothing derived from noise is ever cached.
+//   - Computed PER QUERY: the WHERE bitset over the table's physical
+//     rows, ANDed in place with the cached partition bitset (the
+//     non-sensitive view's membership mask; see
+//     dataset.Table.SelectPhysical), the noised counts, and everything
+//     ε-bearing — including every fitted workload synopsis, which is a
+//     noised release and must be drawn fresh per charge. Nothing derived
+//     from noise is ever cached.
 //
 // derived is read-only after construction; the LRUs carry their own
 // locks.
