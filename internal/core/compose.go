@@ -35,9 +35,10 @@ type Accountant struct {
 
 	// The composite's parts, kept as charges land so that Composite and
 	// Snapshot cost O(distinct policies), not O(charges): each distinct
-	// charged policy once (Policy.Equal), in first-charge order, and the
-	// charges' ε summed in charge order.
+	// charged policy once (by Policy.Key, whose keys the set holds), in
+	// first-charge order, and the charges' ε summed in charge order.
 	policies []dataset.Policy
+	keys     map[string]struct{}
 	eps      float64
 }
 
@@ -81,10 +82,15 @@ func (a *Accountant) record(g Guarantee) {
 // fold adds g to the composite's parts. The caller holds a.mu.
 func (a *Accountant) fold(g Guarantee) {
 	a.eps += g.Epsilon
-	for _, p := range a.policies {
-		if p.Equal(g.Policy) {
+	// A policy without a key equals no other, so it is always kept.
+	if key, ok := g.Policy.Key(); ok {
+		if _, seen := a.keys[key]; seen {
 			return
 		}
+		if a.keys == nil {
+			a.keys = make(map[string]struct{})
+		}
+		a.keys[key] = struct{}{}
 	}
 	a.policies = append(a.policies, g.Policy)
 }
@@ -161,7 +167,7 @@ func (a *Accountant) Refund(g Guarantee) error {
 			// so first-charge order and the ε sum are exactly what they
 			// would be had the refunded charge never landed. Refunds are
 			// rare (pre-noise failures), so the O(charges) pass is too.
-			a.policies, a.eps = nil, 0
+			a.policies, a.keys, a.eps = nil, nil, 0
 			for _, c := range a.charges {
 				a.fold(c)
 			}

@@ -286,41 +286,6 @@ func TestMinimumRelaxation(t *testing.T) {
 	}
 }
 
-// TestPolicyEqual pins the identity the budget accountant dedupes
-// charged policies by: equal only for the same name over structurally
-// identical predicates, never for opaque or foreign predicates it cannot
-// inspect.
-func TestPolicyEqual(t *testing.T) {
-	minors := func() Predicate { return And(Cmp("Age", OpLe, Int(17)), Not(Cmp("OptIn", OpEq, Bool(true)))) }
-	f := FuncPredicate("f", func(Record) bool { return true })
-	for _, c := range []struct {
-		a, b Policy
-		want bool
-	}{
-		{NewPolicy("p", minors()), NewPolicy("p", minors()), true},
-		{NewPolicy("p", minors()), NewPolicy("q", minors()), false},
-		{NewPolicy("p", Cmp("Age", OpLe, Int(17))), NewPolicy("p", Cmp("Age", OpLe, Float(17))), false},
-		{NewPolicy("p", Cmp("Age", OpLe, Int(17))), NewPolicy("p", Cmp("Age", OpLt, Int(17))), false},
-		{NewPolicy("p", Or(True(), False())), NewPolicy("p", Or(True(), False())), true},
-		{NewPolicy("p", Or(True(), False())), NewPolicy("p", And(True(), False())), false},
-		{NewPolicy("p", Or(True())), NewPolicy("p", Or(True(), True())), false},
-		{NewPolicy("p", f), NewPolicy("p", f), true},
-		{NewPolicy("p", f), NewPolicy("p", FuncPredicate("f", func(Record) bool { return true })), false},
-		{NewPolicy("p", foreignPredicate{}), NewPolicy("p", foreignPredicate{}), false},
-	} {
-		if got := c.a.Equal(c.b); got != c.want {
-			t.Errorf("%s %s Equal %s %s = %v, want %v", c.a.Name(), c.a, c.b.Name(), c.b, got, c.want)
-		}
-	}
-}
-
-// foreignPredicate is a Predicate implemented outside the package's own
-// types.
-type foreignPredicate struct{}
-
-func (foreignPredicate) Eval(Record) bool { return true }
-func (foreignPredicate) String() string   { return "foreign" }
-
 func TestMultisetView(t *testing.T) {
 	s := NewSchema(Field{"X", KindInt})
 	tb := NewTable(s)

@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"sync/atomic"
 )
@@ -195,58 +194,6 @@ func AllNonSensitive() Policy { return NewPolicy("P_none", False()) }
 
 // Name returns the policy's display name.
 func (p Policy) Name() string { return p.name }
-
-// Equal reports whether p and q are the same policy: the same name and
-// structurally identical sensitivity predicates, with bit-identical
-// comparison values. A FuncPredicate equals only copies of itself, and a
-// predicate implemented outside this package equals nothing, since
-// neither has a structure to compare. Equal never allocates.
-func (p Policy) Equal(q Policy) bool {
-	return p.name == q.name && samePredicate(p.sensitive, q.sensitive)
-}
-
-// samePredicate is Policy.Equal's structural comparison of predicates.
-func samePredicate(a, b Predicate) bool {
-	switch x := a.(type) {
-	case cmpPredicate:
-		y, ok := b.(cmpPredicate)
-		return ok && x.attr == y.attr && x.op == y.op && x.val.kind == y.val.kind &&
-			x.val.i == y.val.i && math.Float64bits(x.val.f) == math.Float64bits(y.val.f) &&
-			x.val.s == y.val.s && x.val.b == y.val.b
-	case andPredicate:
-		y, ok := b.(andPredicate)
-		return ok && samePredicates(x, y)
-	case orPredicate:
-		y, ok := b.(orPredicate)
-		return ok && samePredicates(x, y)
-	case notPredicate:
-		y, ok := b.(notPredicate)
-		return ok && samePredicate(x.p, y.p)
-	case truePredicate:
-		_, ok := b.(truePredicate)
-		return ok
-	case falsePredicate:
-		_, ok := b.(falsePredicate)
-		return ok
-	case funcPredicate:
-		y, ok := b.(funcPredicate)
-		return ok && x.id == y.id
-	default:
-		return false
-	}
-}
-
-func samePredicates(a, b []Predicate) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !samePredicate(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
 
 // Sensitive reports P(r) = 0.
 func (p Policy) Sensitive(r Record) bool { return p.sensitive.Eval(r) }

@@ -19,79 +19,44 @@ func (b *Bitset) set(i int) {
 	b.words[i>>6] |= 1 << (uint(i) & 63)
 }
 
-// evalCombinators walks the boolean structure of pred with bitset
-// algebra over n rows, delegating the two leaf shapes — comparison
-// predicates and opaque predicates — to the given callbacks. It is the
-// single recursion shared by the base-table and view evaluators, so the
-// two cannot drift apart combinator by combinator.
-func evalCombinators(pred Predicate, n int, leafCmp func(cmpPredicate) *Bitset, leafOpaque func(Predicate) *Bitset) *Bitset {
-	recur := func(sub Predicate) *Bitset { return evalCombinators(sub, n, leafCmp, leafOpaque) }
+// evalPhysical evaluates pred over the physical rows of base table b,
+// returning a bitset over physical rows 0..b.nrows-1. Combinators become
+// bitset algebra and comparison leaves run vectorized over every row;
+// opaque leaves (FuncPredicate) are called only on the rows set in
+// members, or on every row when members is nil, so a caller scanning a
+// view passes the view's membership mask and must AND it into the
+// result: bits outside members are unspecified.
+func evalPhysical(b *Table, pred Predicate, members *Bitset) *Bitset {
+	n := b.nrows
 	switch q := pred.(type) {
 	case truePredicate:
-		out := NewBitset(n)
-		out.setAll()
-		return out
+		return allOrNone(n, true)
 	case falsePredicate:
 		return NewBitset(n)
 	case notPredicate:
-		out := recur(q.p)
+		out := evalPhysical(b, q.p, members)
 		out.invert()
 		return out
 	case andPredicate:
 		if len(q) == 0 {
-			out := NewBitset(n)
-			out.setAll()
-			return out
+			return allOrNone(n, true)
 		}
-		out := recur(q[0])
+		out := evalPhysical(b, q[0], members)
 		for _, sub := range q[1:] {
-			out.andWith(recur(sub))
+			out.andWith(evalPhysical(b, sub, members))
 		}
 		return out
 	case orPredicate:
 		out := NewBitset(n)
 		for _, sub := range q {
-			out.orWith(recur(sub))
+			out.orWith(evalPhysical(b, sub, members))
 		}
 		return out
 	case cmpPredicate:
-		return leafCmp(q)
+		return evalCmpPhysical(b, q)
 	default:
-		return leafOpaque(pred)
+		return evalGenericPhysical(b, pred, members)
 	}
-}
-
-// evalPhysical evaluates pred over the physical rows of base table b,
-// returning a bitset over physical rows 0..b.nrows-1. Comparison leaves
-// run vectorized over every row; opaque leaves (FuncPredicate) are called
-// only on the rows set in members, or on every row when members is nil,
-// so a caller scanning a view passes the view's membership mask and must
-// AND it into the result: bits outside members are unspecified.
-func evalPhysical(b *Table, pred Predicate, members *Bitset) *Bitset {
-	return evalCombinators(pred, b.nrows,
-		func(q cmpPredicate) *Bitset { return evalCmpPhysical(b, q) },
-		func(p Predicate) *Bitset { return evalGenericPhysical(b, p, members) })
-}
-
-// evalViewRelative evaluates pred over a view's rows, returning a bitset
-// over VIEW positions. Vectorized comparisons still run over the full
-// base column (they are total, pure functions, so evaluating excluded
-// rows is invisible) and project through the selection; opaque
-// predicates (FuncPredicate) are invoked only on the view's own rows,
-// serially (see evalGenericPhysical).
-func evalViewRelative(t *Table, pred Predicate) *Bitset {
-	base := t.Base()
-	return evalCombinators(pred, len(t.sel),
-		func(q cmpPredicate) *Bitset { return projectToView(t, evalCmpPhysical(base, q)) },
-		func(p Predicate) *Bitset {
-			out := NewBitset(len(t.sel))
-			for i, phys := range t.sel {
-				if p.Eval(Record{schema: t.schema, tab: base, row: int(phys)}) {
-					out.set(i)
-				}
-			}
-			return out
-		})
 }
 
 // projectToView maps a bitset over base physical rows onto view positions.

@@ -409,7 +409,7 @@ func (t *Table) Select(pred Predicate) *Bitset {
 	if t.sel == nil || t.selIsIdentity() {
 		return evalPhysical(t.Base(), pred, nil)
 	}
-	return evalViewRelative(t, pred)
+	return projectToView(t, t.SelectPhysical(pred))
 }
 
 // SelectPhysical returns the physical rows of Base() that are in t and
@@ -417,9 +417,9 @@ func (t *Table) Select(pred Predicate) *Bitset {
 // row of t. Scans that read the column vectors by physical row
 // (Table.Count, histogram.Query.Eval) use it to skip mapping a view's
 // rows onto its own positions: the predicate is evaluated over the base
-// columns, exactly as Select evaluates it, and ANDed in place with t's
-// membership mask. Opaque predicates see only t's own rows, serially, as
-// under Select.
+// columns and ANDed in place with t's membership mask. Opaque predicates
+// see only t's own rows, serially, in view order. Select of a view is
+// this bitset mapped onto the view's positions.
 //
 // With a nil or True pred the result is the membership mask itself,
 // shared by every caller; the caller must not modify it. SelectPhysical
@@ -524,16 +524,19 @@ func (t *Table) GroupCount(name string) map[string]int {
 	return out
 }
 
-// splitKey identifies a policy for the split cache: the policy name plus
-// a kind-tagged structural rendering of the predicate (predCacheKey).
-// Unlike Predicate.String, the rendering distinguishes comparison-value
-// kinds — Cmp(a, OpEq, Str("true")) and Cmp(a, OpEq, Bool(true)) behave
-// differently and must not share a cache slot — and identifies
-// FuncPredicate by a minted per-instance id, so same-named opaque
-// predicates wrapping different functions never alias either. ok is
-// false when the predicate contains an implementation this package
-// cannot assign a sound identity to; such policies are never cached.
-func splitKey(p Policy) (key string, ok bool) {
+// Key identifies a policy: the policy name plus a kind-tagged structural
+// rendering of the predicate (predCacheKey). Two policies with the same
+// key partition every table alike and render alike, so the split cache
+// keys its entries by it and the budget accountant keeps one policy per
+// key. Unlike Predicate.String, the rendering distinguishes
+// comparison-value kinds — Cmp(a, OpEq, Str("true")) and
+// Cmp(a, OpEq, Bool(true)) behave differently and must not share a
+// key — and identifies FuncPredicate by a minted per-instance id, so
+// same-named opaque predicates wrapping different functions never alias
+// either. ok is false when the predicate contains an implementation this
+// package cannot assign a sound identity to; such a policy equals no
+// other and is never cached.
+func (p Policy) Key() (key string, ok bool) {
 	pk, ok := predCacheKey(p.sensitive)
 	return p.name + "\x00" + pk, ok
 }
@@ -604,7 +607,7 @@ func (t *Table) SplitBits(p Policy) (sensitive, nonSensitive *Bitset) {
 const maxSplitCacheEntries = 8
 
 func (t *Table) splitEntryFor(p Policy) *splitEntry {
-	key, cacheable := splitKey(p)
+	key, cacheable := p.Key()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if cacheable {

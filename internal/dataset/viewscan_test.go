@@ -29,8 +29,8 @@ func recordingPredicate(pred Predicate, seen *[]int) Predicate {
 	})
 }
 
-// checkViewScan compares Count and SelectPhysical on view with the
-// record-at-a-time reference, for pred and for pred wrapped in an opaque
+// checkViewScan compares Count, SelectPhysical and the view-relative
+// Select on view with the record-at-a-time reference, for pred and for pred wrapped in an opaque
 // leaf that must see exactly the view's rows, in order, once.
 func checkViewScan(t *testing.T, label string, view *Table, pred Predicate) {
 	t.Helper()
@@ -62,6 +62,15 @@ func checkViewScan(t *testing.T, label string, view *Table, pred Predicate) {
 				t.Fatalf("%s: SelectPhysical(%s) misses physical row %d", label, pred, p)
 			}
 		}
+		rel := view.Select(pred)
+		if rel.Len() != len(rows) {
+			t.Fatalf("%s: Select has %d rows, view has %d", label, rel.Len(), len(rows))
+		}
+		for i, p := range rows {
+			if rel.Get(i) != want[p] {
+				t.Fatalf("%s: Select(%s) bit %d = %v, record-at-a-time %v", label, pred, i, rel.Get(i), want[p])
+			}
+		}
 	}
 	check(label, pred)
 
@@ -69,10 +78,10 @@ func checkViewScan(t *testing.T, label string, view *Table, pred Predicate) {
 	opaque := recordingPredicate(pred, &seen)
 	check(label+" opaque", opaque)
 	check(label+" opaque-in-tree", And(True(), Not(Not(opaque))))
-	// Count and SelectPhysical each ran the leaf once per pass: check
-	// every pass saw exactly the view's rows, in view order.
-	if len(seen) != 4*len(rows) {
-		t.Fatalf("%s: opaque leaf called %d times over %d rows in 4 passes", label, len(seen), len(rows))
+	// Count, SelectPhysical and Select each ran the leaf once per pass:
+	// check every pass saw exactly the view's rows, in view order.
+	if len(seen) != 6*len(rows) {
+		t.Fatalf("%s: opaque leaf called %d times over %d rows in 6 passes", label, len(seen), len(rows))
 	}
 	for i, p := range seen {
 		if !member[p] {
