@@ -395,6 +395,31 @@ func BenchmarkServerScanQueries(b *testing.B) {
 	}
 }
 
+// BenchmarkSessionQuantile measures Session.Quantile the way bench/'s
+// mix-1m serves it: the 1M-row table under Age < 18, ε = 0.1, and the
+// crypto/rand-backed source a production session uses. The first
+// quantile of each attribute, which builds the partition's sorted runs,
+// runs before the timer starts; Score has ~820k distinct values, so its
+// runs are as long as the partition.
+func BenchmarkSessionQuantile(b *testing.B) {
+	tb := dataplaneBenchTable()
+	sess := core.NewSession(tb, minorsPolicy(), 0, noise.NewSecureSource())
+	for _, attr := range []string{"Age", "Score"} {
+		b.Run(attr, func(b *testing.B) {
+			if _, err := sess.Quantile(attr, 0.5, 0.1); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sess.Quantile(attr, 0.5, 0.1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkRegisterTable registers the 1M-row data-plane table (64-group
 // Group, Age 0..99 and a float Score with ~1M distinct values) under an
 // Age < 18 policy, the shape of bench/'s mix-1m. Each iteration registers

@@ -42,13 +42,38 @@ func (m *RR) Release(db *dataset.Table, src noise.Source) *dataset.Table {
 // rrKeep is OsdpRR's keep loop over n non-sensitive records: it returns
 // the strictly increasing positions in [0, n) that are released, each
 // kept independently with probability 1 − e^(−ε). It jumps from keep to
-// keep by waiting times (noise.KeepGap), which have exactly the
+// keep by waiting times (noise.KeepGapFrom), which have exactly the
 // distribution of the runs of suppressed records between Bernoulli keeps,
 // so it draws one uniform per kept record instead of one per record.
 func rrKeep(n int, eps float64, src noise.Source) []int32 {
-	kept := make([]int32, 0, int(float64(n)*noise.KeepProbability(eps)))
+	// Room for the mean keep count plus 4 standard deviations, so the
+	// slice almost never grows.
+	mean := float64(n) * noise.KeepProbability(eps)
+	kept := make([]int32, 0, min(n, int(mean+4*math.Sqrt(mean)+1)))
+	return appendKept(kept, n, eps, src, make([]float64, keepChunk))
+}
+
+// keepChunk caps how many uniforms the keep loop draws at once.
+const keepChunk = 256
+
+// appendKept runs the keep loop of rrKeep and appends the kept
+// positions to kept. It draws its uniforms into buf (len(buf) ≥ 1) with
+// noise.FillUniform, in chunks sized to the expected number of keeps
+// still to come, plus the draw that ends the loop, capped at len(buf):
+// a small n draws a few uniforms, not a whole chunk. Uniforms left over
+// when the loop ends are discarded. That is exact: the stopping rule
+// never looks at them, so the keeps are the same function of i.i.d.
+// uniforms as with one draw per gap.
+func appendKept(kept []int32, n int, eps float64, src noise.Source, buf []float64) []int32 {
+	p := noise.KeepProbability(eps)
+	var us []float64
 	for next := 0; next < n; next++ {
-		gap := noise.KeepGap(src, eps)
+		if len(us) == 0 {
+			us = buf[:min(len(buf), int(math.Ceil(float64(n-next)*p))+1)]
+			noise.FillUniform(src, us)
+		}
+		gap := noise.KeepGapFrom(us[0], eps)
+		us = us[1:]
 		if gap >= float64(n-next) {
 			break
 		}
@@ -87,15 +112,19 @@ func (m *RR) InverseProbabilityScale() float64 {
 // Binomial(xns_i, 1 − e^(−ε)). This is "running the query on the sample of
 // non-sensitive records output by OsdpRR" (§5.1) and satisfies (P, ε)-OSDP
 // because it is post-processing of the OsdpRR release. Each bin is the
-// number of records rrKeep keeps out of xns_i, so the draw is exact at
-// every bin size.
+// number of records rrKeep's loop keeps out of xns_i, so the draw is
+// exact at every bin size; the bins share one uniform buffer and one
+// scratch slice of kept positions.
 func RRSampleHistogram(xns *histogram.Histogram, eps float64, src noise.Source) *histogram.Histogram {
 	if eps <= 0 {
 		panic("core: RRSampleHistogram requires eps > 0")
 	}
 	out := histogram.New(xns.Bins())
+	buf := make([]float64, keepChunk)
+	var kept []int32
 	for i := 0; i < xns.Bins(); i++ {
-		out.SetCount(i, float64(len(rrKeep(int(xns.Count(i)), eps, src))))
+		kept = appendKept(kept[:0], int(xns.Count(i)), eps, src, buf)
+		out.SetCount(i, float64(len(kept)))
 	}
 	return out
 }

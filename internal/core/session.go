@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 
 	"osdp/internal/dataset"
@@ -205,6 +204,18 @@ func (s *Session) Count(pred dataset.Predicate, eps float64, trace ...TraceHook)
 // fresh budget slice or a larger eps. An unknown or non-numeric attr
 // fails before anything is charged.
 //
+// The keep loop runs over the partition in VALUE order, not row order:
+// position i is the i-th smallest value of attr (sort.Float64s order)
+// among the non-sensitive records, read from the partition's cached
+// dataset.SortedRuns. OsdpRR keeps every record independently with the
+// same probability, so permuting the records before the loop leaves the
+// law of the kept multiset unchanged. The kept positions come out
+// ascending, so the sample quantile — the value at rank ⌈qK⌉ (at least
+// 1) of the K kept records — is a lookup of the run holding kept
+// position ⌈qK⌉−1: no kept value is gathered and nothing is sorted.
+// The first quantile of an attribute builds its runs (one sort of the
+// partition's values, traced as a "scan" phase); later ones reuse them.
+//
 // The ε charge is consumed even when the sample comes up empty. This is
 // deliberate, not a bug: the keep draws ARE the OsdpRR mechanism
 // execution, and "the sample was empty" is itself an observable outcome
@@ -226,45 +237,28 @@ func (s *Session) Quantile(attr string, q, eps float64, trace ...TraceHook) (flo
 	if err := s.charge(eps); err != nil {
 		return 0, fmt.Errorf("core: quantile rejected: %w", err)
 	}
+	runs := s.ns.CachedSortedRuns(ci)
+	if runs == nil {
+		end := beginPhase(trace, "scan")
+		runs, _ = s.ns.SortedRuns(ci)
+		if end != nil {
+			end("rows", strconv.Itoa(runs.Rows()), "runs", strconv.Itoa(runs.Len()))
+		}
+	}
 	// The keep draws ARE the mechanism execution, so drawing them and
-	// gathering the kept values trace as one "noise" phase.
+	// looking up the answer trace as one "noise" phase.
 	end := beginPhase(trace, "noise")
-	values := keptFloats(s.ns.Take(rrKeep(s.ns.Len(), eps, s.src)), ci)
+	kept := rrKeep(runs.Rows(), eps, s.src)
+	var v float64
+	if len(kept) > 0 {
+		rank := max(int(math.Ceil(q*float64(len(kept)))), 1)
+		v = runs.At(int(kept[rank-1]))
+	}
 	if end != nil {
-		end("rows", strconv.Itoa(s.ns.Len()), "kept", strconv.Itoa(len(values)))
+		end("rows", strconv.Itoa(runs.Rows()), "kept", strconv.Itoa(len(kept)))
 	}
-	if len(values) == 0 {
-		return 0, fmt.Errorf("core: quantile %w (kept 0 of %d records)", ErrEmptySample, s.ns.Len())
+	if len(kept) == 0 {
+		return 0, fmt.Errorf("core: quantile %w (kept 0 of %d records)", ErrEmptySample, runs.Rows())
 	}
-	sort.Float64s(values)
-	rank := int(math.Ceil(q * float64(len(values))))
-	if rank < 1 {
-		rank = 1
-	}
-	return values[rank-1], nil
-}
-
-// keptFloats reads column ci of every record of rel as a float64,
-// straight from the typed int or float vector. The column must be
-// numeric (Quantile checks before it charges).
-func keptFloats(rel *dataset.Table, ci int) []float64 {
-	sel := rel.Selection()
-	out := make([]float64, rel.Len())
-	row := func(i int) int32 {
-		if sel == nil {
-			return int32(i)
-		}
-		return sel[i]
-	}
-	if ints, ok := rel.ColumnInts(ci); ok {
-		for i := range out {
-			out[i] = float64(ints[row(i)])
-		}
-	} else {
-		floats, _ := rel.ColumnFloats(ci)
-		for i := range out {
-			out[i] = floats[row(i)]
-		}
-	}
-	return out
+	return v, nil
 }

@@ -171,6 +171,7 @@ type Table struct {
 
 	mu     sync.Mutex
 	splits map[string]*splitEntry
+	runs   map[int]*SortedRuns // by column index; see SortedRuns
 }
 
 // splitEntry caches one policy's partition of a table: the bitsets and
@@ -324,6 +325,7 @@ func (t *Table) materialize() {
 func (t *Table) invalidate() {
 	t.mu.Lock()
 	t.splits = nil
+	t.runs = nil
 	t.mu.Unlock()
 	t.mask.Store(nil)
 }

@@ -52,6 +52,7 @@ var noiseSamplers = map[string]bool{
 	"OneSidedLaplace": true, "OneSidedLaplaceVec": true,
 	"Bernoulli": true, "Geometric": true, "Binomial": true,
 	"Gaussian": true, "Exponential": true, "KeepGap": true,
+	"KeepGapFrom": true, "FillUniform": true,
 }
 
 // sessionQueryMethods are the noise-drawing methods of core.Session as

@@ -36,6 +36,20 @@ func (s *Session) BadKeep(eps float64) float64 {
 	return g
 }
 
+// BadBulk fills a slice of uniforms before charging.
+func (s *Session) BadBulk(eps float64, buf []float64) float64 {
+	noise.FillUniform(keepSrc, buf) // want `reaches the noise source before charging`
+	_ = s.charge(eps)
+	return buf[0]
+}
+
+// BadKeepFrom turns a uniform into a keep gap before charging.
+func (s *Session) BadKeepFrom(eps, u float64) float64 {
+	g := noise.KeepGapFrom(u, eps) // want `reaches the noise source before charging`
+	_ = s.charge(eps)
+	return g
+}
+
 // GoodCount charges first, then samples.
 func (s *Session) GoodCount(eps float64) float64 {
 	if err := s.charge(eps); err != nil {

@@ -26,6 +26,27 @@ type Source interface {
 	Float64() float64
 }
 
+// bulkSource is a Source that can also fill a whole slice with
+// uniforms in one call, each value with the law of one Float64 call,
+// as NewSecureSource's does.
+type bulkSource interface {
+	Source
+	FillFloat64s(dst []float64)
+}
+
+// FillUniform fills dst with independent uniforms in [0, 1) from src:
+// in one call when src has a bulk fill (NewSecureSource), otherwise by
+// one Float64 call per value, in order.
+func FillUniform(src Source, dst []float64) {
+	if b, ok := src.(bulkSource); ok {
+		b.FillFloat64s(dst)
+		return
+	}
+	for i := range dst {
+		dst[i] = src.Float64()
+	}
+}
+
 // NewSource returns a deterministic Source seeded with seed.
 func NewSource(seed int64) Source {
 	return rand.New(rand.NewSource(seed))
@@ -178,7 +199,7 @@ func Gaussian(src Source, sigma float64) float64 {
 }
 
 // Exponential draws from Exp(rate): density rate·exp(-rate·x) on x >= 0.
-// Used by the trace simulator for dwell times and by KeepGap.
+// Used by the trace simulator for dwell times.
 func Exponential(src Source, rate float64) float64 {
 	if rate <= 0 {
 		panic("noise: exponential rate must be positive")
@@ -198,7 +219,18 @@ func Exponential(src Source, rate float64) float64 {
 //
 // KeepGap panics if eps <= 0.
 func KeepGap(src Source, eps float64) float64 {
-	return math.Floor(Exponential(src, eps))
+	return KeepGapFrom(src.Float64(), eps)
+}
+
+// KeepGapFrom is KeepGap with its uniform u in [0, 1) already drawn,
+// for keep loops that draw their uniforms in bulk (FillUniform).
+//
+// KeepGapFrom panics if eps <= 0.
+func KeepGapFrom(u, eps float64) float64 {
+	if eps <= 0 {
+		panic("noise: keep gap needs eps > 0")
+	}
+	return math.Floor(-math.Log1p(-u) / eps)
 }
 
 // KeepProbability is the per-record release probability of OsdpRR at

@@ -314,3 +314,18 @@ func TestLaplaceDPRatio(t *testing.T) {
 		}
 	}
 }
+
+// FillUniform on a source without a bulk fill, plain or Locked, hands
+// out exactly the values of successive Float64 calls.
+func TestFillUniformFallbackOrder(t *testing.T) {
+	for _, src := range []Source{NewSource(5), Locked(NewSource(5))} {
+		want := NewSource(5)
+		dst := make([]float64, 100)
+		FillUniform(src, dst)
+		for i, u := range dst {
+			if w := want.Float64(); u != w {
+				t.Fatalf("%T: value %d = %v, want %v", src, i, u, w)
+			}
+		}
+	}
+}

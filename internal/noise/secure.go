@@ -29,13 +29,18 @@ type secureSource struct {
 	buf [8]byte // one variate's bytes; a local array would escape to the heap through io.ReadFull
 }
 
+// secureBufSize is the crypto/rand read size behind a secure source.
+const secureBufSize = 4096
+
 // NewSecureSource returns a Source backed by crypto/rand. Sampling is a
 // few times slower than the seeded PRNG source; use it for actual
 // releases and the seeded source for experiments that must be
 // reproducible. Unlike seeded sources, it is safe for concurrent use
-// without wrapping in Locked.
+// without wrapping in Locked. It also has a bulk fill: FillUniform
+// draws a whole slice of uniforms from it under one lock, which is how
+// the OsdpRR keep loop reads it.
 func NewSecureSource() Source {
-	return &secureSource{r: bufio.NewReaderSize(crand.Reader, 4096)}
+	return &secureSource{r: bufio.NewReaderSize(crand.Reader, secureBufSize)}
 }
 
 // Float64 returns a uniform value in [0, 1) with 53 random bits.
@@ -48,7 +53,35 @@ func (s *secureSource) Float64() float64 {
 		// privacy guarantee, so fail loudly.
 		panic(fmt.Sprintf("noise: reading crypto/rand: %v", err))
 	}
-	return float64(binary.LittleEndian.Uint64(s.buf[:])>>11) / (1 << 53)
+	return uniform53(s.buf[:])
+}
+
+// FillFloat64s fills dst with independent uniforms in [0, 1), each with
+// 53 random bits, under one lock. The bytes are read in place from the
+// source's buffer, which one crypto/rand read refills 4 KB at a time,
+// so a keep loop that draws hundreds of uniforms pays one lock and at
+// most one read for them instead of one lock per value. The values have
+// exactly the law of len(dst) Float64 calls.
+func (s *secureSource) FillFloat64s(dst []float64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(dst) > 0 {
+		n := min(len(dst), secureBufSize/8)
+		b, err := s.r.Peek(8 * n)
+		if err != nil {
+			panic(fmt.Sprintf("noise: reading crypto/rand: %v", err))
+		}
+		for i := range dst[:n] {
+			dst[i] = uniform53(b[8*i:])
+		}
+		s.r.Discard(8 * n)
+		dst = dst[n:]
+	}
+}
+
+// uniform53 maps the first 8 bytes of b to [0, 1) on the 2^−53 grid.
+func uniform53(b []byte) float64 {
+	return float64(binary.LittleEndian.Uint64(b)>>11) / (1 << 53)
 }
 
 // Snap post-processes a noisy value with the snapping mechanism: clamp to

@@ -63,7 +63,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	dataset.SetScanMetrics(dataset.NewScanMetrics(reg))
 	t.Cleanup(func() { dataset.SetScanMetrics(nil) })
-	c, srv := newLedgerServer(t, "", ledger.Config{DefaultBudget: 100, Telemetry: reg}, Config{Telemetry: reg})
+	c, srv := newLedgerServer(t, "", ledger.Config{DefaultBudget: 100, Telemetry: reg},
+		Config{Telemetry: reg, Tracer: telemetry.NewTracer(telemetry.TracerConfig{})})
 	registerPeople(t, srv, 200)
 	ac, _ := mintAnalyst(t, c, "alice", 0)
 	sc, err := ac.OpenSession(ctx, "people", 0, seed(1))
@@ -76,9 +77,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, err := sc.Histogram(ctx, 0.1, nil, DomainSpec{Attr: "City"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sc.Quantile(ctx, 0.1, "Age", 0.5); err != nil {
+	if _, err := sc.Quantile(ContextWithRequestID(ctx, "000000000000a001"), 0.1, "Age", 0.5); err != nil {
 		t.Fatal(err)
 	}
+	checkQuantilePhases(t, c, "000000000000a001", true)
 	if _, err := sc.Workload(ctx, 0.1, EstimatorHier, nil,
 		[]DomainSpec{{Attr: "Age", Lo: 0, Width: 10, Bins: 10}},
 		[]RangeSpec{{Lo: 0, Hi: 4}, {Lo: 2, Hi: 9}}); err != nil {
@@ -135,6 +137,50 @@ func TestMetricsEndpoint(t *testing.T) {
 	// The four charges each spent 0.1 ε; the ledger gauge agrees.
 	if !strings.Contains(body, "osdp_ledger_charges_total 4") {
 		t.Errorf("osdp_ledger_charges_total != 4 in:\n%s", body)
+	}
+
+	// A second quantile of Age reuses the partition's sorted runs.
+	if _, err := sc.Quantile(ContextWithRequestID(ctx, "000000000000a002"), 0.1, "Age", 0.9); err != nil {
+		t.Fatal(err)
+	}
+	checkQuantilePhases(t, c, "000000000000a002", false)
+}
+
+// checkQuantilePhases fetches the trace of quantile request id and
+// checks that its mechanism time is attributed: a "noise" phase with
+// the keep loop's rows and kept count, and, on the first quantile of
+// an attribute (firstUse), a "scan" phase before it that built the
+// sorted runs, with their rows and run count. Later quantiles have no
+// scan phase.
+func checkQuantilePhases(t *testing.T, c *Client, id string, firstUse bool) {
+	t.Helper()
+	tr, err := c.WithToken(adminToken).Trace(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan, noise := -1, -1
+	for i, sp := range tr.Spans {
+		switch sp.Name {
+		case "scan":
+			scan = i
+			if sp.Attrs["rows"] == "" || sp.Attrs["runs"] == "" {
+				t.Errorf("quantile scan span missing rows/runs attrs: %+v", sp)
+			}
+		case "noise":
+			noise = i
+			if sp.Attrs["rows"] == "" || sp.Attrs["kept"] == "" {
+				t.Errorf("quantile noise span missing rows/kept attrs: %+v", sp)
+			}
+		}
+	}
+	if noise < 0 {
+		t.Errorf("quantile %s has no noise span: %+v", id, tr.Spans)
+	}
+	if firstUse && (scan < 0 || scan > noise) {
+		t.Errorf("first quantile %s: scan span at %d, noise at %d; want the runs build traced before the noise: %+v", id, scan, noise, tr.Spans)
+	}
+	if !firstUse && scan >= 0 {
+		t.Errorf("quantile %s with cached runs has a scan span: %+v", id, tr.Spans)
 	}
 }
 
