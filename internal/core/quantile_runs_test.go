@@ -27,7 +27,7 @@ func keptFloats(rel *dataset.Table, ci int) []float64 {
 	}
 	if ints, ok := rel.ColumnInts(ci); ok {
 		for i := range out {
-			out[i] = float64(ints[row(i)])
+			out[i] = float64(ints.At(int(row(i))))
 		}
 	} else {
 		floats, _ := rel.ColumnFloats(ci)

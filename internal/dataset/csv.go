@@ -125,8 +125,9 @@ func parseValue(cell string, kind Kind) (Value, error) {
 //
 // The encoder is columnar: ints, floats and bools append straight into
 // a byte buffer (strconv.Append*, which never yield a cell that needs
-// quoting), and each dictionary string is quoted by encoding/csv's
-// rules once per dictionary entry.
+// quoting), each dictionary string is quoted by encoding/csv's rules
+// once per dictionary entry, and an 8-bit int column renders each of
+// its 256 offsets at most once.
 func WriteCSV(w io.Writer, t *Table) error {
 	s := t.Schema()
 	q := newCSVQuoter()
@@ -141,8 +142,11 @@ func WriteCSV(w io.Writer, t *Table) error {
 	cols := make([]csvColumn, s.Len())
 	for i, c := range t.Base().cols {
 		cols[i].column = c
-		if c.kind == KindString {
+		switch {
+		case c.kind == KindString:
 			cols[i].fields = make([]string, len(c.dict.vals))
+		case c.kind == KindInt && c.ints.bits == 8:
+			cols[i].fields = make([]string, 256)
 		}
 	}
 	for i, n := 0, t.Len(); i < n; i++ {
@@ -198,8 +202,8 @@ func (q *csvQuoter) field(s string) string {
 }
 
 // csvColumn encodes one column's cells for WriteCSV. fields caches the
-// rendered field of each dictionary entry of a string column, filled on
-// first use.
+// rendered field of each dictionary entry of a string column, or of each
+// offset of an 8-bit int column, filled on first use.
 type csvColumn struct {
 	*column
 	fields []string
@@ -209,7 +213,16 @@ type csvColumn struct {
 func (c *csvColumn) appendCell(b []byte, r int, q *csvQuoter) []byte {
 	switch c.kind {
 	case KindInt:
-		return strconv.AppendInt(b, c.ints[r], 10)
+		if c.fields == nil {
+			return strconv.AppendInt(b, c.ints.at(r), 10)
+		}
+		o := c.ints.u8[r]
+		f := c.fields[o]
+		if f == "" { // no int renders empty
+			f = strconv.FormatInt(c.ints.base+int64(o), 10)
+			c.fields[o] = f
+		}
+		return append(b, f...)
 	case KindFloat:
 		return strconv.AppendFloat(b, c.floats[r], 'g', -1, 64)
 	case KindBool:

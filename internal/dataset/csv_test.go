@@ -208,6 +208,26 @@ func assertSameCSV(t *testing.T, name string, tb *Table) {
 	}
 }
 
+// TestWriteCSVUnevenRowsKeepsBufferSmall: a long cell in the first row
+// followed by many short rows must not make WriteCSV reserve output in
+// proportion to the first row's length; the writer's buffer stays within
+// a small factor of what was written.
+func TestWriteCSVUnevenRowsKeepsBufferSmall(t *testing.T) {
+	tb := NewTable(NewSchema(Field{"S", KindString}, Field{"X", KindInt}))
+	tb.AppendValues(Str(strings.Repeat("x", 70<<10)), Int(0))
+	for i := 1; i < 2000; i++ {
+		tb.AppendValues(Str("s"), Int(int64(i%100)))
+	}
+	var b bytes.Buffer
+	if err := WriteCSV(&b, tb); err != nil {
+		t.Fatal(err)
+	}
+	if b.Cap() > 4*b.Len() {
+		t.Fatalf("buffer capacity %d for %d bytes of CSV", b.Cap(), b.Len())
+	}
+	assertSameCSV(t, "uneven rows", tb)
+}
+
 // The columnar encoder is byte-identical to the row loop on every cell
 // kind, on cells that need quoting and on views; only the single-column
 // empty record differs (tested above).
@@ -243,6 +263,13 @@ func TestWriteCSVMatchesRowLoop(t *testing.T) {
 	assertSameCSV(t, "Split sensitive", sens)
 	assertSameCSV(t, "Take of Split", ns.Take([]int32{1, 2, 10}))
 	assertSameCSV(t, "empty Take", tb.Take(nil))
+
+	// Many 64 KB flushes.
+	big := NewTable(tb.Schema())
+	for i := 0; i < 5000; i++ {
+		big.Append(tb.Record(i % tb.Len()))
+	}
+	assertSameCSV(t, "many chunks", big)
 
 	// Single-column tables match whenever no cell renders empty.
 	one := NewTable(NewSchema(Field{Name: "S", Kind: KindString}))

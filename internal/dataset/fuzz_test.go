@@ -73,10 +73,28 @@ func randomTypedValue(rng *rand.Rand, k Kind) Value {
 	}
 }
 
+// intProfiles are the int columns randomTable draws: each stores its
+// values at a different width (8, 16 or 64 bits, as Append picks it),
+// over negative bases, bases near ±2^62 where float64 cannot tell
+// neighbouring ints apart, and windows clamped at the ends of the int64
+// range.
+var intProfiles = []struct{ lo, hi int64 }{
+	{-3, 3},
+	{-200, -60},
+	{-40000, 25000},
+	{1 << 62, 1<<62 + 200},
+	{-1<<62 - 30000, -1 << 62},
+	{-1 << 40, 1 << 40},
+	{math.MaxInt64 - 100, math.MaxInt64},
+	{math.MinInt64, math.MinInt64 + 100},
+}
+
 // randomTable builds a table over a 4-kind schema, each cell drawn from
-// the pool of its column's kind (Append rejects any other). Predicates
-// still compare columns against values of every kind, so the
-// row-independent cross-kind verdicts (constBitset) stay covered.
+// the pool of its column's kind (Append rejects any other). The int
+// column draws from a small pool over one of intProfiles, which always
+// holds the profile's ends. Predicates still compare columns against
+// values of every kind, so the row-independent cross-kind verdicts stay
+// covered.
 func randomTable(rng *rand.Rand, rows int) *Table {
 	s := NewSchema(
 		Field{"I", KindInt},
@@ -84,6 +102,11 @@ func randomTable(rng *rand.Rand, rows int) *Table {
 		Field{"S", KindString},
 		Field{"B", KindBool},
 	)
+	prof := intProfiles[rng.Intn(len(intProfiles))]
+	ints := []int64{prof.lo, prof.hi}
+	for i := 0; i < 5; i++ {
+		ints = append(ints, prof.lo+int64(rng.Uint64()%(uint64(prof.hi)-uint64(prof.lo)+1)))
+	}
 	tb := NewTable(s)
 	kinds := []Kind{KindInt, KindFloat, KindString, KindBool}
 	for r := 0; r < rows; r++ {
@@ -91,6 +114,7 @@ func randomTable(rng *rand.Rand, rows int) *Table {
 		for c, k := range kinds {
 			vals[c] = randomTypedValue(rng, k)
 		}
+		vals[0] = Int(ints[rng.Intn(len(ints))])
 		tb.Append(NewRecord(s, vals...))
 	}
 	return tb
@@ -98,6 +122,14 @@ func randomTable(rng *rand.Rand, rows int) *Table {
 
 // randomPredicate builds a depth-bounded predicate tree over the schema.
 func randomPredicate(rng *rand.Rand, depth int) Predicate {
+	return randomPredicateOver(rng, nil, depth)
+}
+
+// randomPredicateOver is randomPredicate whose comparisons on the int
+// column I of tb (when tb is not nil) often take a boundary constant of
+// its range: min−1, min, max, max+1, a non-integer inside it, ±Inf or
+// NaN.
+func randomPredicateOver(rng *rand.Rand, tb *Table, depth int) Predicate {
 	attrs := []string{"I", "F", "S", "B"}
 	if depth <= 0 || rng.Intn(3) == 0 {
 		switch rng.Intn(8) {
@@ -108,27 +140,47 @@ func randomPredicate(rng *rand.Rand, depth int) Predicate {
 		default:
 			attr := attrs[rng.Intn(len(attrs))]
 			op := []CmpOp{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe}[rng.Intn(6)]
+			if attr == "I" && tb != nil && tb.Len() > 0 && rng.Intn(2) == 0 {
+				return Cmp(attr, op, intBoundary(rng, tb))
+			}
 			return Cmp(attr, op, randomValue(rng)) // value kind may mismatch the column
 		}
 	}
 	switch rng.Intn(3) {
 	case 0:
-		return Not(randomPredicate(rng, depth-1))
+		return Not(randomPredicateOver(rng, tb, depth-1))
 	case 1:
 		n := rng.Intn(3)
 		ps := make([]Predicate, n)
 		for i := range ps {
-			ps[i] = randomPredicate(rng, depth-1)
+			ps[i] = randomPredicateOver(rng, tb, depth-1)
 		}
 		return And(ps...)
 	default:
 		n := rng.Intn(3)
 		ps := make([]Predicate, n)
 		for i := range ps {
-			ps[i] = randomPredicate(rng, depth-1)
+			ps[i] = randomPredicateOver(rng, tb, depth-1)
 		}
 		return Or(ps...)
 	}
+}
+
+// intBoundary draws a boundary constant of tb's int column I.
+func intBoundary(rng *rand.Rand, tb *Table) Value {
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for i := 0; i < tb.Len(); i++ {
+		v := tb.Record(i).Get("I").AsInt()
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	pick := tb.Record(rng.Intn(tb.Len())).Get("I").AsInt()
+	// lo−1 and hi+1 wrap at the ends of the int64 range, which only
+	// moves them to the other end: still a boundary.
+	return []Value{
+		Int(lo - 1), Int(lo), Int(hi), Int(hi + 1), Int(pick),
+		Float(float64(lo) + 0.5), Float(float64(pick) - 0.5), Float(float64(hi)),
+		Float(math.Inf(1)), Float(math.Inf(-1)), Float(math.NaN()),
+	}[rng.Intn(11)]
 }
 
 // orderedKeys renders the table's records as keys in storage order.
@@ -223,12 +275,12 @@ func FuzzColumnarDifferential(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, rows uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		tb := randomTable(rng, int(rows)%200)
-		pred := randomPredicate(rng, 3)
+		pred := randomPredicateOver(rng, tb, 3)
 		checkColumnarAgreement(t, tb, pred)
 
 		// Same property on a view (filtered subset) of the table.
-		sub := tb.Filter(randomPredicate(rng, 2))
-		checkColumnarAgreement(t, sub, randomPredicate(rng, 3))
+		sub := tb.Filter(randomPredicateOver(rng, tb, 2))
+		checkColumnarAgreement(t, sub, randomPredicateOver(rng, sub, 3))
 	})
 }
 
@@ -238,9 +290,9 @@ func TestColumnarDifferentialSweep(t *testing.T) {
 	for seed := int64(100); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tb := randomTable(rng, rng.Intn(120))
-		checkColumnarAgreement(t, tb, randomPredicate(rng, 4))
-		sub := tb.Filter(randomPredicate(rng, 2))
-		checkColumnarAgreement(t, sub, randomPredicate(rng, 4))
+		checkColumnarAgreement(t, tb, randomPredicateOver(rng, tb, 4))
+		sub := tb.Filter(randomPredicateOver(rng, tb, 2))
+		checkColumnarAgreement(t, sub, randomPredicateOver(rng, sub, 4))
 	}
 }
 

@@ -88,7 +88,7 @@ func (t *Table) buildSortedRuns(ci int) *SortedRuns {
 	for i := range vs {
 		p := t.physRow(i)
 		if c.kind == KindInt {
-			vs[i] = float64(c.ints[p])
+			vs[i] = float64(c.ints.at(p))
 		} else {
 			vs[i] = c.floats[p]
 		}

@@ -146,7 +146,8 @@ func writeEscapedKeyPart(b *strings.Builder, s string) {
 
 // Table is an in-memory multiset of records sharing one schema — the
 // "database D" of the paper. Storage is columnar: each attribute is a
-// typed vector (int64/float64/bool, or a dictionary-coded string column),
+// typed vector (ints at the narrowest width that holds their range,
+// float64s, bools, or a dictionary-coded string column),
 // and the Record API reads through lightweight row views. A table is
 // either a base table owning its columns, or a view: a selection vector
 // over another table's columns, produced by Filter and Split. Views share
@@ -230,18 +231,21 @@ func (t *Table) physRow(i int) int {
 	return i
 }
 
-// ColumnInts returns the int64 vector backing column i of the base
-// storage, indexed by PHYSICAL row (combine with Selection on views).
-// ok is false only when column i is of another kind.
-func (t *Table) ColumnInts(i int) ([]int64, bool) {
+// ColumnInts returns the storage of int column i of the base table,
+// indexed by PHYSICAL row (combine with Selection on views). ok is false
+// only when column i is of another kind. The IntColumn is a snapshot: a
+// later Append to the table does not change it.
+func (t *Table) ColumnInts(i int) (IntColumn, bool) {
 	c := t.Base().cols[i]
 	if c.kind != KindInt {
-		return nil, false
+		return IntColumn{}, false
 	}
-	return c.ints, true
+	return IntColumn{c.ints}, true
 }
 
-// ColumnFloats is ColumnInts for float64 columns.
+// ColumnFloats returns the float64 vector backing column i of the base
+// storage, indexed by PHYSICAL row (combine with Selection on views).
+// ok is false only when column i is of another kind.
 func (t *Table) ColumnFloats(i int) ([]float64, bool) {
 	c := t.Base().cols[i]
 	if c.kind != KindFloat {
@@ -250,7 +254,7 @@ func (t *Table) ColumnFloats(i int) ([]float64, bool) {
 	return c.floats, true
 }
 
-// ColumnBools is ColumnInts for bool columns.
+// ColumnBools is ColumnFloats for bool columns.
 func (t *Table) ColumnBools(i int) ([]bool, bool) {
 	c := t.Base().cols[i]
 	if c.kind != KindBool {
@@ -409,7 +413,9 @@ func (t *Table) viewFromSel(sel []int32) *Table {
 // Select is safe for concurrent use with other reads of the table.
 func (t *Table) Select(pred Predicate) *Bitset {
 	if t.sel == nil || t.selIsIdentity() {
-		return evalPhysical(t.Base(), pred, nil)
+		out := NewBitset(t.Base().nrows)
+		evalPhysical(t.Base(), pred, nil, out)
+		return out
 	}
 	return projectToView(t, t.SelectPhysical(pred))
 }
@@ -419,9 +425,9 @@ func (t *Table) Select(pred Predicate) *Bitset {
 // row of t. Scans that read the column vectors by physical row
 // (Table.Count, histogram.Query.Eval) use it to skip mapping a view's
 // rows onto its own positions: the predicate is evaluated over the base
-// columns and ANDed in place with t's membership mask. Opaque predicates
-// see only t's own rows, serially, in view order. Select of a view is
-// this bitset mapped onto the view's positions.
+// columns with t's membership mask ANDed into each word as it is built.
+// Opaque predicates see only t's own rows, serially, in view order.
+// Select of a view is this bitset mapped onto the view's positions.
 //
 // With a nil or True pred the result is the membership mask itself,
 // shared by every caller; the caller must not modify it. SelectPhysical
@@ -430,14 +436,34 @@ func (t *Table) SelectPhysical(pred Predicate) *Bitset {
 	if _, all := pred.(truePredicate); all || pred == nil {
 		return t.members()
 	}
-	if t.sel == nil || t.selIsIdentity() {
-		// Every physical row is a member.
-		return evalPhysical(t.Base(), pred, nil)
-	}
-	members := t.members()
-	out := evalPhysical(t.Base(), pred, members)
-	out.andWith(members)
+	out := NewBitset(t.Base().nrows)
+	evalPhysical(t.Base(), pred, t.scanMask(), out)
 	return out
+}
+
+// ScanPhysical calls f with SelectPhysical(pred), held in scratch
+// storage that is reused once f returns, so a scan that only reads the
+// selected rows allocates no bitset. f must neither keep nor modify the
+// bitset. ScanPhysical is safe for concurrent use with other reads of
+// the table.
+func (t *Table) ScanPhysical(pred Predicate, f func(rows *Bitset)) {
+	if _, all := pred.(truePredicate); all || pred == nil {
+		f(t.members())
+		return
+	}
+	out := getScratch(t.Base().nrows)
+	evalPhysical(t.Base(), pred, t.scanMask(), out)
+	f(out)
+	putScratch(out)
+}
+
+// scanMask is the mask a physical scan of t runs under: nil when every
+// physical row is a member, else t's membership mask.
+func (t *Table) scanMask() *Bitset {
+	if t.sel == nil || t.selIsIdentity() {
+		return nil
+	}
+	return t.members()
 }
 
 // members returns t's membership mask over Base()'s physical rows,
@@ -478,14 +504,16 @@ func (t *Table) Filter(pred Predicate) *Table {
 }
 
 // Count returns the number of records satisfying pred (every record when
-// pred is nil): the population count of SelectPhysical, so a view is
-// counted over its physical rows without mapping them onto its own
-// positions.
+// pred is nil): the population count of SelectPhysical, evaluated into
+// scratch storage, so a view is counted over its physical rows without
+// mapping them onto its own positions or allocating a bitset.
 func (t *Table) Count(pred Predicate) int {
 	if _, all := pred.(truePredicate); all || pred == nil {
 		return t.Len()
 	}
-	return t.SelectPhysical(pred).Count()
+	n := 0
+	t.ScanPhysical(pred, func(rows *Bitset) { n = rows.Count() })
+	return n
 }
 
 // GroupCount groups records by the value of attribute name and returns a
@@ -706,9 +734,10 @@ func (t *Table) SortedKeys(name string) []string {
 // scan up to that value, not a sort of all its distinct values. max must
 // not be negative.
 //
-// Each column kind takes one typed distinct pass: ints and floats
-// collect a set of 64-bit keys, bools two flags, and strings a seen
-// vector over the dictionary.
+// Each column kind takes one typed distinct pass: floats and ints
+// stored as raw int64 collect a set of 64-bit keys, narrow ints a seen
+// vector over their offsets, bools two flags, and strings a seen vector
+// over the dictionary.
 func (t *Table) SortedKeysUpTo(name string, max int) (keys []string, ok bool) {
 	ci := t.schema.ColumnIndex(name)
 	if ci < 0 {
@@ -720,14 +749,35 @@ func (t *Table) SortedKeysUpTo(name string, max int) (keys []string, ok bool) {
 	col := t.Base().cols[ci]
 	switch col.kind {
 	case KindInt:
-		vals, ok := distinctUpTo(col.ints, t.sel, t.nrows, max, func(v int64) int64 { return v })
+		iv := &col.ints
+		if iv.bits == 64 {
+			vals, ok := distinctUpTo(iv.i64, t.sel, t.nrows, max, func(v int64) int64 { return v })
+			if !ok {
+				return nil, false
+			}
+			slices.Sort(vals)
+			keys = make([]string, len(vals))
+			for i, v := range vals {
+				keys[i] = Int(v).AsString()
+			}
+			return keys, true
+		}
+		// A narrow column marks its offsets in a dense vector, whose
+		// order is the values' order.
+		var seen []bool
+		if iv.bits == 8 {
+			seen, ok = seenCodesUpTo(iv.u8, t.sel, t.nrows, max, iv.window(), func(o uint8) int { return int(o) })
+		} else {
+			seen, ok = seenCodesUpTo(iv.u16, t.sel, t.nrows, max, iv.window(), func(o uint16) int { return int(o) })
+		}
 		if !ok {
 			return nil, false
 		}
-		slices.Sort(vals)
-		keys = make([]string, len(vals))
-		for i, v := range vals {
-			keys[i] = Int(v).AsString()
+		keys = make([]string, 0)
+		for o, s := range seen {
+			if s {
+				keys = append(keys, Int(iv.base+int64(o)).AsString())
+			}
 		}
 		return keys, true
 	case KindFloat:

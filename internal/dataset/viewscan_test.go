@@ -154,7 +154,7 @@ func TestViewScanDifferential(t *testing.T) {
 			for _, workers := range []int{1, 3} {
 				withWorkers(t, workers, func() {
 					for round := 0; round < 3; round++ {
-						checkViewScan(t, fmt.Sprintf("%d rows, %s, %d workers", rows, name, workers), view, randomPredicate(rng, 3))
+						checkViewScan(t, fmt.Sprintf("%d rows, %s, %d workers", rows, name, workers), view, randomPredicateOver(rng, tb, 3))
 					}
 				})
 			}
@@ -204,7 +204,7 @@ func FuzzViewScanDifferential(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		tb := randomTable(rng, int(rows))
 		for name, view := range scanViews(rng, tb) {
-			checkViewScan(t, name, view, randomPredicate(rng, 3))
+			checkViewScan(t, name, view, randomPredicateOver(rng, tb, 3))
 		}
 	})
 }

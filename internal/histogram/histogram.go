@@ -375,7 +375,9 @@ func (d *Domain) fillCategoricalStrings(base *dataset.Table, ci int, bins []int3
 }
 
 // fillCategoricalInts maps domain keys that are canonical int renderings
-// to typed values, so rows bin via an int64 lookup instead of FormatInt.
+// to typed values, so rows bin via an int lookup instead of FormatInt.
+// A column stored as offsets into a window bins through a table indexed
+// by offset; one stored as raw int64s looks each value up in a map.
 func (d *Domain) fillCategoricalInts(base *dataset.Table, ci int, bins []int32) bool {
 	ints, ok := base.ColumnInts(ci)
 	if !ok {
@@ -388,12 +390,25 @@ func (d *Domain) fillCategoricalInts(base *dataset.Table, ci int, bins []int32) 
 			m[v] = int32(b)
 		}
 	}
+	if lo, size := ints.Window(); size > 0 {
+		lut := make([]int32, size)
+		for o := range lut {
+			lut[o] = -1
+		}
+		for v, b := range m {
+			if v >= lo && uint64(v)-uint64(lo) < uint64(size) {
+				lut[uint64(v)-uint64(lo)] = b
+			}
+		}
+		dataset.ParallelRows(len(bins), func(_, lo, hi int) { ints.Lookup(bins[lo:hi], lo, lut) })
+		return true
+	}
 	dataset.ParallelRows(len(bins), func(_, lo, hi int) {
-		for i, x := range ints[lo:hi] {
-			if b, ok := m[x]; ok {
-				bins[lo+i] = b
+		for i := lo; i < hi; i++ {
+			if b, ok := m[ints.At(i)]; ok {
+				bins[i] = b
 			} else {
-				bins[lo+i] = -1
+				bins[i] = -1
 			}
 		}
 	})
@@ -475,14 +490,24 @@ func fillBools(bins []int32, bools []bool, trueBin, falseBin int32) {
 	})
 }
 
+// fillNumericInts buckets each offset of a windowed column once, then
+// bins rows through that table; raw int64 rows are bucketed one by one.
 func (d *Domain) fillNumericInts(base *dataset.Table, ci int, bins []int32) bool {
 	ints, ok := base.ColumnInts(ci)
 	if !ok {
 		return false
 	}
+	if lo, size := ints.Window(); size > 0 {
+		lut := make([]int32, size)
+		for o := range lut {
+			lut[o] = int32(d.bucketOf(float64(lo + int64(o))))
+		}
+		dataset.ParallelRows(len(bins), func(_, lo, hi int) { ints.Lookup(bins[lo:hi], lo, lut) })
+		return true
+	}
 	dataset.ParallelRows(len(bins), func(_, lo, hi int) {
-		for i, x := range ints[lo:hi] {
-			bins[lo+i] = int32(d.bucketOf(float64(x)))
+		for i := lo; i < hi; i++ {
+			bins[i] = int32(d.bucketOf(float64(ints.At(i))))
 		}
 	})
 	return true
@@ -581,7 +606,8 @@ const maxParallelAccumulateBins = 1 << 16
 //
 // Execution is columnar: the WHERE condition compiles to a bitset over
 // the base table's physical rows, already ANDed with the table's
-// membership (dataset.Table.SelectPhysical), and each dimension
+// membership and held in reused scratch (dataset.Table.ScanPhysical),
+// and each dimension
 // contributes a cached per-physical-row bin-id vector, so the scan walks
 // the set bits of that bitset and reads the bin vectors directly — no
 // per-record rendering, map entries, or interface dispatch, and no
@@ -616,54 +642,56 @@ func (q Query) Eval(t *dataset.Table) *Histogram {
 		// generically rather than silently dropping dimensions.
 		return q.evalND(t, h)
 	}
-	rows := t.SelectPhysical(q.Where).Words()
 	n := base.Len()
-	// accumulate counts the selected physical rows of [lo, hi) into
-	// counts, walking the set bits of each word. Everything it reads —
-	// bin vectors, the row bitset — is immutable during the pass.
-	accumulate := func(counts []float64, lo, hi int) {
-		for wi := lo >> 6; wi < (hi+63)>>6; wi++ {
-			for w := rows[wi]; w != 0; w &= w - 1 {
-				p := wi<<6 | bits.TrailingZeros64(w)
-				b := bins0[p]
-				if b < 0 {
-					continue
-				}
-				if bins1 != nil {
-					b2 := bins1[p]
-					if b2 < 0 {
+	t.ScanPhysical(q.Where, func(sel *dataset.Bitset) {
+		rows := sel.Words()
+		// accumulate counts the selected physical rows of [lo, hi) into
+		// counts, walking the set bits of each word. Everything it reads —
+		// bin vectors, the row bitset — is immutable during the pass.
+		accumulate := func(counts []float64, lo, hi int) {
+			for wi := lo >> 6; wi < (hi+63)>>6; wi++ {
+				for w := rows[wi]; w != 0; w &= w - 1 {
+					p := wi<<6 | bits.TrailingZeros64(w)
+					b := bins0[p]
+					if b < 0 {
 						continue
 					}
-					b = b*int32(size1) + b2
+					if bins1 != nil {
+						b2 := bins1[p]
+						if b2 < 0 {
+							continue
+						}
+						b = b*int32(size1) + b2
+					}
+					counts[b]++
 				}
-				counts[b]++
 			}
 		}
-	}
-	if dataset.ScanParallelism(n) > 1 && len(h.counts) <= maxParallelAccumulateBins {
-		// Slots are bounded by MaxScanWorkers even if the configured
-		// worker count changes while the pass is being set up; unused
-		// slots stay nil and merge as zero.
-		partials := make([][]float64, dataset.MaxScanWorkers)
-		dataset.ParallelRows(n, func(w, lo, hi int) {
-			p := partials[w]
-			if p == nil {
-				p = make([]float64, len(h.counts))
-				partials[w] = p
+		if dataset.ScanParallelism(n) > 1 && len(h.counts) <= maxParallelAccumulateBins {
+			// Slots are bounded by MaxScanWorkers even if the configured
+			// worker count changes while the pass is being set up; unused
+			// slots stay nil and merge as zero.
+			partials := make([][]float64, dataset.MaxScanWorkers)
+			dataset.ParallelRows(n, func(w, lo, hi int) {
+				p := partials[w]
+				if p == nil {
+					p = make([]float64, len(h.counts))
+					partials[w] = p
+				}
+				accumulate(p, lo, hi)
+			})
+			for _, p := range partials {
+				if p == nil {
+					continue
+				}
+				for i, c := range p {
+					h.counts[i] += c
+				}
 			}
-			accumulate(p, lo, hi)
-		})
-		for _, p := range partials {
-			if p == nil {
-				continue
-			}
-			for i, c := range p {
-				h.counts[i] += c
-			}
+		} else {
+			accumulate(h.counts, 0, n)
 		}
-	} else {
-		accumulate(h.counts, 0, n)
-	}
+	})
 	if len(q.Dims) == 1 {
 		h.labels = q.Dims[0].Labels()
 	}
@@ -682,23 +710,25 @@ func (q Query) evalND(t *dataset.Table, h *Histogram) *Histogram {
 		binVecs[d] = dom.binVector(base)
 		sizes[d] = dom.Size()
 	}
-	for wi, w := range t.SelectPhysical(q.Where).Words() {
-		for ; w != 0; w &= w - 1 {
-			p := wi<<6 | bits.TrailingZeros64(w)
-			bin, ok := 0, true
-			for d := range binVecs {
-				b := binVecs[d][p]
-				if b < 0 {
-					ok = false
-					break
+	t.ScanPhysical(q.Where, func(sel *dataset.Bitset) {
+		for wi, w := range sel.Words() {
+			for ; w != 0; w &= w - 1 {
+				p := wi<<6 | bits.TrailingZeros64(w)
+				bin, ok := 0, true
+				for d := range binVecs {
+					b := binVecs[d][p]
+					if b < 0 {
+						ok = false
+						break
+					}
+					bin = bin*sizes[d] + int(b)
 				}
-				bin = bin*sizes[d] + int(b)
-			}
-			if ok {
-				h.counts[bin]++
+				if ok {
+					h.counts[bin]++
+				}
 			}
 		}
-	}
+	})
 	return h
 }
 

@@ -47,9 +47,9 @@ const maxDerivedDomainKeys = 1 << 16
 //     numeric synopsis domains are explicit shapes, so a repeated
 //     workload shape reuses its compiled domain and bin vector.
 //   - Computed PER QUERY: the WHERE bitset over the table's physical
-//     rows, ANDed in place with the cached partition bitset (the
-//     non-sensitive view's membership mask; see
-//     dataset.Table.SelectPhysical), the noised counts, and everything
+//     rows, with the cached partition bitset (the non-sensitive view's
+//     membership mask) ANDed into each word as it is built, in pooled
+//     scratch (see dataset.Table.ScanPhysical), the noised counts, and everything
 //     ε-bearing — including every fitted workload synopsis, which is a
 //     noised release and must be drawn fresh per charge. Nothing derived
 //     from noise is ever cached.

@@ -232,7 +232,8 @@ func (s *SessionClient) Close(ctx context.Context) (SessionInfo, error) {
 
 // Query sends a raw QueryRequest.
 func (s *SessionClient) Query(ctx context.Context, req QueryRequest) (QueryResponse, error) {
-	return do[QueryResponse](ctx, s.c, http.MethodPost, "/v1/sessions/"+url.PathEscape(s.id)+"/query", req)
+	w, err := do[wireResponse](ctx, s.c, http.MethodPost, "/v1/sessions/"+url.PathEscape(s.id)+"/query", req)
+	return w.response(), err
 }
 
 // Histogram answers a real-valued histogram query.

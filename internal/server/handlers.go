@@ -90,7 +90,7 @@ func (s *Server) Handler() http.Handler {
 		// Response encode is the last traced phase: large histogram or
 		// sample payloads can dominate a fast query's wall time.
 		sp := telemetry.TraceFrom(r.Context()).StartSpan("encode")
-		writeJSON(w, http.StatusOK, resp)
+		writeJSON(w, http.StatusOK, toWire(resp))
 		sp.End()
 	}))
 	s.adminRoutes(mux)
@@ -141,15 +141,31 @@ func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, statusOf(err), ErrorResponse{Error: err.Error()})
 }
 
-// writeJSON marshals before touching the response, so an encoding
-// failure (e.g. a NaN float) becomes a clean 500 instead of a success
-// status with a truncated body.
+// writeJSON writes v as one line of JSON. A json.Encoder marshals the
+// whole value before its single Write, and the status goes out with that
+// Write, so an encoding failure (e.g. a NaN float) becomes a clean 500
+// instead of a success status with a truncated body; a large sample is
+// written from the encoder's buffer rather than copied out of it first.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		body, status = []byte(`{"error":"server: encoding response failed"}`), http.StatusInternalServerError
-	}
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(append(body, '\n'))
+	hw := &headerOnWrite{w: w, status: status}
+	if err := json.NewEncoder(hw).Encode(v); err != nil && !hw.wrote {
+		w.WriteHeader(http.StatusInternalServerError)
+		_, _ = w.Write([]byte(`{"error":"server: encoding response failed"}` + "\n"))
+	}
+}
+
+// headerOnWrite sends status just before the first Write.
+type headerOnWrite struct {
+	w      http.ResponseWriter
+	status int
+	wrote  bool
+}
+
+func (h *headerOnWrite) Write(p []byte) (int, error) {
+	if !h.wrote {
+		h.w.WriteHeader(h.status)
+		h.wrote = true
+	}
+	return h.w.Write(p)
 }

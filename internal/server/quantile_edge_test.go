@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -127,4 +128,63 @@ func TestQuantileEmptySampleNeverRefunds(t *testing.T) {
 	if got := srv.cfg.Ledger.TotalSpent(); math.Abs(got-eps) > 1e-12 {
 		t.Fatalf("ledger spent %g after empty sample, want %g (no refund after noise)", got, eps)
 	}
+}
+
+// TestQuantileNonFiniteReachesAnalyst: a float column holding NaN and
+// ±Inf makes extreme quantiles non-finite. The answer is charged, so it
+// must come back 200 with the exact value (JSON has no NaN or Inf, so
+// the wire carries it as a string), and finite answers keep the plain
+// JSON number. At ε = 30 every non-sensitive row is kept, and the
+// quantile orders values as sort.Float64s does: NaN first.
+func TestQuantileNonFiniteReachesAnalyst(t *testing.T) {
+	c := newTestClient(t, Config{})
+	csv := "Age:int,OptIn:bool,Score:float\n" +
+		"30,true,1.5\n40,true,NaN\n50,true,+Inf\n60,true,-Inf\n70,true,2.5\n"
+	if _, err := c.RegisterDatasetCSV(ctx, RegisterDatasetRequest{
+		Name: "scores", CSV: csv, Policy: testPolicy(),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := c.OpenSession(ctx, "scores", 0, seed(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Sorted: NaN, -Inf, 1.5, 2.5, +Inf.
+	for _, tc := range []struct {
+		q    float64
+		want float64
+	}{{0, math.NaN()}, {0.4, math.Inf(-1)}, {0.6, 1.5}, {1, math.Inf(1)}} {
+		v, err := sc.Quantile(ctx, 30, "Score", tc.q)
+		if err != nil {
+			t.Fatalf("q=%g: %v", tc.q, err)
+		}
+		if v != tc.want && !(math.IsNaN(v) && math.IsNaN(tc.want)) {
+			t.Fatalf("q=%g: got %g, want %g", tc.q, v, tc.want)
+		}
+	}
+
+	// The raw wire: 200, and the value is a string only when not finite.
+	for q, want := range map[float64]string{0: `"value":"NaN"`, 1: `"value":"+Inf"`, 0.6: `"value":1.5`} {
+		body := fmt.Sprintf(`{"kind":"quantile","eps":30,"attr":"Score","q":%g}`, q)
+		code, raw := rawPost(t, c, "/v1/sessions/"+sc.ID()+"/query", body)
+		if code != 200 || !strings.Contains(raw, want) {
+			t.Fatalf("q=%g: HTTP %d %s, want 200 with %s", q, code, raw, want)
+		}
+	}
+}
+
+// rawPost posts body to path on c's server and returns the status and
+// the body as sent, bypassing the client's decoding.
+func rawPost(t *testing.T, c *Client, path, body string) (int, string) {
+	t.Helper()
+	resp, err := c.hc.Post(c.base+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(raw)
 }

@@ -30,6 +30,7 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"net/url"
@@ -208,6 +209,68 @@ type QueryResponse struct {
 	Answers   []float64   `json:"answers,omitempty"`    // workload: one per RangeSpec, in request order
 	Estimator string      `json:"estimator,omitempty"`  // workload: the estimator that fitted the synopsis
 	Budget    SessionInfo `json:"budget"`
+}
+
+// wireResponse is a QueryResponse as it travels. JSON has no NaN or
+// ±Inf, so Value, a count or a quantile, is a JSON number when finite
+// (written as encoding/json writes a float64) and one of the strings
+// "NaN", "+Inf" and "-Inf" otherwise: a charged quantile of a float
+// column holding non-finite values still reaches the analyst.
+type wireResponse struct {
+	QueryResponse
+	Value *wireFloat `json:"value,omitempty"`
+}
+
+func toWire(r QueryResponse) wireResponse {
+	return wireResponse{QueryResponse: r, Value: (*wireFloat)(r.Value)}
+}
+
+func (w wireResponse) response() QueryResponse {
+	r := w.QueryResponse
+	r.Value = (*float64)(w.Value)
+	return r
+}
+
+// wireFloat is a float64 that carries NaN and ±Inf as JSON strings.
+type wireFloat float64
+
+func (f wireFloat) MarshalJSON() ([]byte, error) {
+	switch v := float64(f); {
+	case math.IsNaN(v):
+		return []byte(`"NaN"`), nil
+	case math.IsInf(v, 1):
+		return []byte(`"+Inf"`), nil
+	case math.IsInf(v, -1):
+		return []byte(`"-Inf"`), nil
+	default:
+		return json.Marshal(v)
+	}
+}
+
+func (f *wireFloat) UnmarshalJSON(b []byte) error {
+	if len(b) > 0 && b[0] == '"' {
+		var s string
+		if err := json.Unmarshal(b, &s); err != nil {
+			return err
+		}
+		switch s {
+		case "NaN":
+			*f = wireFloat(math.NaN())
+		case "+Inf":
+			*f = wireFloat(math.Inf(1))
+		case "-Inf":
+			*f = wireFloat(math.Inf(-1))
+		default:
+			return fmt.Errorf("server: %q is not a number", s)
+		}
+		return nil
+	}
+	var v float64
+	if err := json.Unmarshal(b, &v); err != nil {
+		return err
+	}
+	*f = wireFloat(v)
+	return nil
 }
 
 // MinQueryEps is the smallest ε a query may charge. Subnormal ε values

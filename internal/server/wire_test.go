@@ -2,6 +2,9 @@ package server
 
 import (
 	"encoding/json"
+	"math"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -142,5 +145,30 @@ func TestTwoDimBinProductCap(t *testing.T) {
 	}
 	if spent, _ := srv.SessionInfo("", info.ID); spent.Spent != 0 {
 		t.Fatalf("rejected query charged %g", spent.Spent)
+	}
+}
+
+// TestWriteJSON: a value that encodes goes out as its json.Marshal bytes
+// plus a newline under the given status; one that cannot encode becomes
+// a 500 with nothing of it written.
+func TestWriteJSON(t *testing.T) {
+	v := QueryResponse{Kind: KindSample, SampleCSV: "a:int\n1\n<&>\n"}
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusCreated, v)
+	want, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusCreated || rec.Body.String() != string(want)+"\n" {
+		t.Fatalf("HTTP %d %q, want %d %q", rec.Code, rec.Body.String(), http.StatusCreated, string(want)+"\n")
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("Content-Type %q", ct)
+	}
+
+	rec = httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"x": math.Inf(1)})
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "encoding response failed") {
+		t.Fatalf("HTTP %d %q, want 500 encoding response failed", rec.Code, rec.Body.String())
 	}
 }
